@@ -24,6 +24,7 @@ from repro.analysis.presolve import (
     presolve,
 )
 from repro.analysis.rules import (
+    ModelContext,
     ModelRule,
     Rule,
     SpecContext,
@@ -40,6 +41,7 @@ __all__ = [
     "AnalysisError",
     "AnalysisReport",
     "Diagnostic",
+    "ModelContext",
     "ModelRule",
     "PresolveReport",
     "PresolveResult",

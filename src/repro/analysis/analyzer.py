@@ -2,9 +2,11 @@
 
 :func:`analyze_problem` checks the problem inputs (template,
 requirements, library) before encoding; :func:`analyze_model` checks a
-built MILP before solving.  Both are pure passes in milliseconds — the
-point of the subsystem is that a structurally doomed problem is rejected
-here instead of burning a full encode + solve cycle.
+built MILP before solving.  Neither calls a solver — the point of the
+subsystem is that a structurally doomed problem is rejected here
+instead of burning a full encode + solve cycle.  :func:`analyze_model`
+flattens the model into arrays once and every model rule reads them;
+``docs/performance.md`` gives the measured cost of both passes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from collections.abc import Sequence
 
 from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.rules import (
+    ModelContext,
     ModelRule,
     SpecContext,
     SpecRule,
@@ -56,10 +59,15 @@ def analyze_model(
     *,
     rules: Sequence[ModelRule] | None = None,
 ) -> AnalysisReport:
-    """Run the model-level rules over a built MILP."""
+    """Run the model-level rules over a built MILP.
+
+    The model is flattened once (:class:`ModelContext`) and every rule
+    reads the same arrays.
+    """
     report = AnalysisReport()
     start = time.perf_counter()
+    ctx = ModelContext(model)
     for rule in model_rules() if rules is None else rules:
-        report.extend(rule.check(model))
+        report.extend(rule.check_context(ctx))
     report.seconds = time.perf_counter() - start
     return report

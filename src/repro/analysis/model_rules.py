@@ -1,32 +1,41 @@
 """Model-level analysis rules: a built MILP before the solver sees it.
 
 All rules here are interval-arithmetic passes over the variable bounds
-and constraint rows — O(nonzeros) each, no LP relaxation required.  They
-catch the model-construction bugs that otherwise surface as an opaque
+and constraint rows — no LP relaxation required.  They catch the
+model-construction bugs that otherwise surface as an opaque
 ``infeasible`` (or as silent slack): contradictory bounds, rows no
 assignment can satisfy, rows implied by the bounds alone, variables the
 model never constrains, big-M constants larger than the tightest value
 the bounds imply, and duplicated left-hand sides.
+
+Each rule is a few numpy masks over the shared
+:class:`~repro.analysis.rules.ModelContext` (one flattening of the rows
+per analysis), and Python touches only the rows and variables a rule
+flags, to format their messages.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.rules import ModelRule, model_rule
-from repro.milp.expr import Constraint, Var
-from repro.milp.model import Model
+from repro.analysis.rules import (
+    ModelContext,
+    ModelRule,
+    model_rule,
+    row_sums,
+)
+from repro.milp.expr import Constraint
 
-_INF = float("inf")
 
-
-def _tol(reference: float) -> float:
+def _tol(reference: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     """Feasibility tolerance scaled to the magnitude of ``reference``."""
-    if math.isinf(reference):
-        return 1e-9
-    return 1e-9 * max(1.0, abs(reference))
+    return np.where(
+        np.isinf(reference), 1e-9, 1e-9 * np.fmax(1.0, np.abs(reference))
+    )
 
 
 def _row_location(index: int, constraint: Constraint) -> str:
@@ -35,26 +44,11 @@ def _row_location(index: int, constraint: Constraint) -> str:
     return f"row #{index}"
 
 
-def _valid_indices(coeffs: dict[int, float], n: int) -> bool:
-    return all(0 <= idx < n for idx in coeffs)
-
-
-def _activity(
-    coeffs: dict[int, float], variables: list[Var]
-) -> tuple[float, float]:
-    """Interval of ``sum(coeff * var)`` over the variable bounds."""
-    lo = hi = 0.0
-    for idx, coeff in coeffs.items():
-        if coeff == 0.0:
-            continue
-        var = variables[idx]
-        if coeff > 0.0:
-            lo += coeff * var.lower
-            hi += coeff * var.upper
-        else:
-            lo += coeff * var.upper
-            hi += coeff * var.lower
-    return lo, hi
+def _uint64_mix(x: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
+    """The splitmix64 finalizer: a cheap bijective scramble of 64 bits."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 @model_rule
@@ -70,22 +64,29 @@ class VariableBoundsRule(ModelRule):
     )
     hint = "fix the bounds where the variable is created"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        for var in model.variables:
-            if math.isnan(var.lower) or math.isnan(var.upper):
+    def check_context(self, ctx: ModelContext) -> Iterator[Diagnostic]:
+        lower, upper = ctx.var_lower, ctx.var_upper
+        nan = np.isnan(lower) | np.isnan(upper)
+        crossed = ~nan & (lower > upper)
+        unbounded = (
+            ~nan & ~crossed & ctx.integer & ~ctx.binary
+            & (np.isinf(lower) | np.isinf(upper))
+        )
+        variables = ctx.model.variables
+        for j in np.flatnonzero(nan | crossed | unbounded):
+            var = variables[j]
+            if nan[j]:
                 yield self.diagnostic(
                     f"bound is NaN: [{var.lower}, {var.upper}]",
                     location=f"var {var.name!r}", variable=var.name,
                 )
-            elif var.lower > var.upper:
+            elif crossed[j]:
                 yield self.diagnostic(
                     f"lower bound {var.lower:g} exceeds upper bound "
                     f"{var.upper:g}: the domain is empty",
                     location=f"var {var.name!r}", variable=var.name,
                 )
-            elif var.is_integer and not var.is_binary and (
-                math.isinf(var.lower) or math.isinf(var.upper)
-            ):
+            else:
                 yield self.diagnostic(
                     f"general integer variable is unbounded "
                     f"([{var.lower:g}, {var.upper:g}]); branch-and-bound "
@@ -110,20 +111,22 @@ class ForeignVariableRule(ModelRule):
     )
     hint = "create all variables on the model the constraint is added to"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        n = len(model.variables)
-        for i, constraint in enumerate(model.constraints):
+    def check_context(self, ctx: ModelContext) -> Iterator[Diagnostic]:
+        n = ctx.n
+        rows = ctx.model.constraints
+        for i in np.flatnonzero(~ctx.valid_row):
+            constraint = rows[i]
             bad = sorted(
                 idx for idx in constraint.expr.coeffs if not 0 <= idx < n
             )
-            if bad:
-                yield self.diagnostic(
-                    f"references variable index(es) {bad} but the model "
-                    f"has {n} variable(s)",
-                    location=_row_location(i, constraint),
-                    indices=bad,
-                )
-        bad = sorted(idx for idx in model.objective.coeffs if not 0 <= idx < n)
+            yield self.diagnostic(
+                f"references variable index(es) {bad} but the model "
+                f"has {n} variable(s)",
+                location=_row_location(int(i), constraint),
+                indices=bad,
+            )
+        objective = ctx.model.objective.coeffs
+        bad = sorted(idx for idx in objective if not 0 <= idx < n)
         if bad:
             yield self.diagnostic(
                 f"objective references variable index(es) {bad} but the "
@@ -149,33 +152,40 @@ class TrivialInfeasibilityRule(ModelRule):
         "requirement or the bounds that make it impossible"
     )
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        n = len(model.variables)
-        for i, constraint in enumerate(model.constraints):
-            coeffs, lo, hi = constraint.normalized()
-            if not _valid_indices(coeffs, n):
-                continue  # model.foreign-variable already fired
-            where = _row_location(i, constraint)
-            if lo > hi + _tol(hi):
+    def check_context(self, ctx: ModelContext) -> Iterator[Diagnostic]:
+        # Rows with a foreign column are model.foreign-variable's finding.
+        lo, hi = ctx.rows.lower, ctx.rows.upper
+        hi_tol = hi + _tol(hi)
+        crossed = ctx.valid_row & (lo > hi_tol)
+        act_lo, act_hi = ctx.activity
+        known = (
+            ctx.valid_row & ~crossed & ~np.isnan(act_lo) & ~np.isnan(act_hi)
+        )
+        too_high = known & (act_lo > hi_tol)
+        too_low = known & ~too_high & (act_hi < lo - _tol(lo))
+        rows = ctx.model.constraints
+        for i in np.flatnonzero(crossed | too_high | too_low):
+            row = int(i)
+            where = _row_location(row, rows[row])
+            if crossed[row]:
                 yield self.diagnostic(
-                    f"row bounds are crossed: lower {lo:g} > upper {hi:g}",
-                    location=where, row=i,
+                    f"row bounds are crossed: lower {float(lo[row]):g} > "
+                    f"upper {float(hi[row]):g}",
+                    location=where, row=row,
                 )
                 continue
-            act_lo, act_hi = _activity(coeffs, model.variables)
-            if math.isnan(act_lo) or math.isnan(act_hi):
-                continue
-            if act_lo > hi + _tol(hi):
+            activity = (float(act_lo[row]), float(act_hi[row]))
+            if too_high[row]:
                 yield self.diagnostic(
-                    f"smallest attainable activity {act_lo:g} already "
-                    f"exceeds the upper bound {hi:g}",
-                    location=where, row=i, activity=(act_lo, act_hi),
+                    f"smallest attainable activity {activity[0]:g} already "
+                    f"exceeds the upper bound {float(hi[row]):g}",
+                    location=where, row=row, activity=activity,
                 )
-            elif act_hi < lo - _tol(lo):
+            else:
                 yield self.diagnostic(
-                    f"largest attainable activity {act_hi:g} cannot reach "
-                    f"the lower bound {lo:g}",
-                    location=where, row=i, activity=(act_lo, act_hi),
+                    f"largest attainable activity {activity[1]:g} cannot "
+                    f"reach the lower bound {float(lo[row]):g}",
+                    location=where, row=row, activity=activity,
                 )
 
 
@@ -192,23 +202,24 @@ class VacuousConstraintRule(ModelRule):
     )
     hint = "drop the row; it only inflates the matrix"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        n = len(model.variables)
-        for i, constraint in enumerate(model.constraints):
-            coeffs, lo, hi = constraint.normalized()
-            if not coeffs or not _valid_indices(coeffs, n):
-                continue
-            act_lo, act_hi = _activity(coeffs, model.variables)
-            if math.isnan(act_lo) or math.isnan(act_hi):
-                continue
-            lower_ok = lo == -_INF or act_lo >= lo - _tol(lo)
-            upper_ok = hi == _INF or act_hi <= hi + _tol(hi)
-            if lower_ok and upper_ok:
-                yield self.diagnostic(
-                    f"activity range [{act_lo:g}, {act_hi:g}] always lies "
-                    f"within the row bounds [{lo:g}, {hi:g}]",
-                    location=_row_location(i, constraint), row=i,
-                )
+    def check_context(self, ctx: ModelContext) -> Iterator[Diagnostic]:
+        lo, hi = ctx.rows.lower, ctx.rows.upper
+        act_lo, act_hi = ctx.activity
+        vacuous = (
+            (ctx.rows.counts > 0) & ctx.valid_row
+            & ~np.isnan(act_lo) & ~np.isnan(act_hi)
+            & ((lo == -np.inf) | (act_lo >= lo - _tol(lo)))
+            & ((hi == np.inf) | (act_hi <= hi + _tol(hi)))
+        )
+        rows = ctx.model.constraints
+        for i in np.flatnonzero(vacuous):
+            row = int(i)
+            yield self.diagnostic(
+                f"activity range [{float(act_lo[row]):g}, "
+                f"{float(act_hi[row]):g}] always lies within the row "
+                f"bounds [{float(lo[row]):g}, {float(hi[row]):g}]",
+                location=_row_location(row, rows[row]), row=row,
+            )
 
 
 @model_rule
@@ -224,23 +235,23 @@ class UnusedVariableRule(ModelRule):
     )
     hint = "remove the variables or wire them into the model"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        used: set[int] = {
-            idx for idx, coeff in model.objective.coeffs.items()
-            if coeff != 0.0
-        }
-        for constraint in model.constraints:
-            for idx, coeff in constraint.expr.coeffs.items():
-                if coeff != 0.0:
-                    used.add(idx)
-        unused = [var.name for var in model.variables if var.index not in used]
+    def check_context(self, ctx: ModelContext) -> Iterator[Diagnostic]:
+        n = ctx.n
+        used = np.zeros(n, dtype=np.bool_)
+        used[ctx.rows.cols[ctx.nonzero_term & ~ctx.foreign_term]] = True
+        used[[
+            idx for idx, coeff in ctx.model.objective.coeffs.items()
+            if coeff != 0.0 and 0 <= idx < n
+        ]] = True
+        variables = ctx.model.variables
+        unused = [variables[j].name for j in np.flatnonzero(~used)]
         if unused:
             shown = ", ".join(unused[:8])
             if len(unused) > 8:
                 shown += f", ... ({len(unused) - 8} more)"
             yield self.diagnostic(
                 f"{len(unused)} variable(s) unused: {shown}",
-                location=f"model {model.name!r}",
+                location=f"model {ctx.model.name!r}",
                 variables=unused,
             )
 
@@ -249,16 +260,17 @@ class UnusedVariableRule(ModelRule):
 class LooseBigMRule(ModelRule):
     """Indicator big-M constants should be as tight as the bounds allow.
 
-    The activity analysis runs over *fixpoint-propagated* bounds
-    (:func:`repro.analysis.presolve.propagated_bounds`), not the raw
-    declared bounds.  This retires a whole class of false positives: a
-    row like ``c - 50*b >= -44`` looks like a loose M=50 against
-    ``c in [0, 10]``, but when another row forces ``c >= 6`` the
+    A finding needs two verdicts.  The *declared* bounds decide whether
+    the constant looks like a modelling bug.  Fixpoint-*propagated*
+    bounds (:func:`repro.analysis.presolve.propagated_bounds`) can then
+    only acquit: a row like ``c - 50*b >= -44`` looks like a loose M=50
+    against ``c in [0, 10]``, but when another row forces ``c >= 6`` the
     indicator side is *vacuous* — the row is implied for both values of
     ``b``, the correct fix is deleting it (``model.vacuous-constraint``
     territory), and no M-shrinking advice applies.  With propagated
     bounds the tightest implied constant collapses to ~0 there and the
-    rule stays silent.
+    rule stays silent.  Because propagation can only acquit, it runs
+    only when the declared bounds flag at least one row.
     """
 
     rule_id = "model.loose-big-m"
@@ -276,87 +288,103 @@ class LooseBigMRule(ModelRule):
     _ABS_SLACK = 1e-4
     _REL_SLACK = 0.01
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
+    def check_context(self, ctx: ModelContext) -> Iterator[Diagnostic]:
+        rows, row_of = ctx.rows, ctx.row_of
+        lo, hi = rows.lower, rows.upper
+        # Normalize one-sided rows to `sum(d * x) >= bound` form: d is the
+        # row for `>=` rows and its negation for `<=` rows.
+        ge = (lo != -np.inf) & (hi == np.inf)
+        le = (lo == -np.inf) & (hi != np.inf)
+        # Big-M analysis targets the classic indicator shape: exactly
+        # one binary relaxing a bound over a continuous expression.
+        # Rows with several binaries (device-selection hulls) or none
+        # couple through other constraints (assignment equalities),
+        # which interval analysis cannot see, so they are skipped to
+        # avoid false positives.
+        term = ctx.nonzero_term & (ctx.valid_row & (ge | le))[row_of]
+        binary_term = np.zeros_like(term)
+        binary_term[term] = ctx.binary[rows.cols[term]]
+        m = len(lo)
+        binaries = np.bincount(row_of[binary_term], minlength=m)
+        others = np.bincount(row_of[term & ~binary_term], minlength=m)
+        shaped = (binaries == 1) & (others > 0)
+        # One term per shaped row: its binary, in row order.
+        picked = np.flatnonzero(binary_term & shaped[row_of])
+        row = row_of[picked]
+        act_lo, act_hi = ctx.activity
+        d_act_lo = np.where(ge, act_lo, -act_hi)[row]
+        bound = np.where(ge, lo, -hi)[row]
+        size = np.abs(rows.coefs[picked])
+        # At the binary's relaxing value the row must hold for every
+        # assignment; slack beyond that proves the constant is larger
+        # than needed.
+        slack = d_act_lo + size - bound
+        tightest = size - slack
+        flagged = (
+            np.isfinite(d_act_lo) & np.isfinite(bound)
+            & (slack > np.fmax(self._ABS_SLACK, self._REL_SLACK * size))
+            & (tightest > self._ABS_SLACK)
+        )
+        if not flagged.any():
+            return
+        acquitted = self._acquitted(
+            ctx, ge, row[flagged], size[flagged], bound[flagged]
+        )
+        variables = ctx.model.variables
+        constraints = ctx.model.constraints
+        for k in np.flatnonzero(flagged)[~acquitted]:
+            i = int(row[k])
+            col = int(rows.cols[picked[k]])
+            var = variables[col]
+            # The row's own coefficient object, so an int stays an int.
+            size_k = abs(constraints[i].expr.coeffs[col])
+            yield self.diagnostic(
+                f"coefficient {size_k:g} on binary {var.name!r} "
+                f"exceeds the tightest implied big-M {float(tightest[k]):g}",
+                location=_row_location(i, constraints[i]),
+                row=i,
+                variable=var.name,
+                coefficient=size_k,
+                tightest=float(tightest[k]),
+            )
+
+    def _acquitted(
+        self,
+        ctx: ModelContext,
+        ge: npt.NDArray[np.bool_],
+        flagged: npt.NDArray[np.int64],
+        size: npt.NDArray[np.float64],
+        bound: npt.NDArray[np.float64],
+    ) -> npt.NDArray[np.bool_]:
+        """Which ``flagged`` rows the propagated bounds show are vacuous.
+
+        When a row holds for either binary value given what the other
+        rows force, the right fix is deleting the row, not shrinking M,
+        so its finding is a false positive.  ``size`` and ``bound`` are
+        the flagged rows' binary coefficient magnitude and normalized
+        bound.
+        """
         # Deferred import: the presolve package imports the diagnostics
         # types from this package's siblings.
         from repro.analysis.presolve import propagated_bounds
 
-        n = len(model.variables)
-        if n:
-            prop_lower, prop_upper, _ = propagated_bounds(model)
-        else:
-            prop_lower, prop_upper = [], []
-        for i, constraint in enumerate(model.constraints):
-            coeffs, lo, hi = constraint.normalized()
-            if not _valid_indices(coeffs, n):
-                continue
-            # Normalize one-sided rows to `sum(d * x) >= bound` form.
-            if lo != -_INF and hi == _INF:
-                d, bound = coeffs, lo
-            elif lo == -_INF and hi != _INF:
-                d = {idx: -c for idx, c in coeffs.items()}
-                bound = -hi
-            else:
-                continue
-            # Big-M analysis targets the classic indicator shape: exactly
-            # one binary relaxing a bound over a continuous expression.
-            # Rows with several binaries (device-selection hulls) or none
-            # couple through other constraints (assignment equalities),
-            # which interval analysis cannot see, so they are skipped to
-            # avoid false positives.
-            binaries = []
-            has_continuous = False
-            for idx, coeff in d.items():
-                if coeff == 0.0:
-                    continue
-                var = model.variables[idx]
-                if var.is_binary:
-                    binaries.append((var, coeff))
-                else:
-                    has_continuous = True
-            if len(binaries) != 1 or not has_continuous:
-                continue
-            act_lo, _ = _activity(d, model.variables)
-            prop_act_lo = 0.0
-            for idx, coeff in d.items():
-                if coeff == 0.0:
-                    continue
-                prop_act_lo += coeff * (
-                    prop_lower[idx] if coeff > 0.0 else prop_upper[idx]
-                )
-            if not math.isfinite(act_lo) or not math.isfinite(bound):
-                continue
-            for var, coeff in binaries:
-                # At the binary's relaxing value the row must hold for
-                # every assignment; slack beyond that proves the constant
-                # is larger than needed.  The *declared* bounds decide
-                # whether the constant looks like a modelling bug; the
-                # propagated bounds can only acquit — when they show the
-                # indicator side is vacuous (the row holds for either
-                # binary value given what the other rows force), the
-                # right fix is deleting the row, not shrinking M, so the
-                # finding is suppressed as a false positive.
-                slack = act_lo + abs(coeff) - bound
-                tightest = abs(coeff) - slack
-                prop_tightest = abs(coeff) - (
-                    prop_act_lo + abs(coeff) - bound
-                )
-                if math.isfinite(prop_act_lo) and (
-                    prop_tightest <= self._ABS_SLACK
-                ):
-                    continue
-                if (slack > max(self._ABS_SLACK, self._REL_SLACK * abs(coeff))
-                        and tightest > self._ABS_SLACK):
-                    yield self.diagnostic(
-                        f"coefficient {abs(coeff):g} on binary "
-                        f"{var.name!r} exceeds the tightest implied "
-                        f"big-M {tightest:g}",
-                        location=_row_location(i, constraint),
-                        row=i,
-                        variable=var.name,
-                        coefficient=abs(coeff),
-                        tightest=tightest,
-                    )
+        prop_lower, prop_upper, _ = propagated_bounds(ctx.model)
+        rows, row_of = ctx.rows, ctx.row_of
+        in_flagged = np.zeros(len(rows.counts), dtype=np.bool_)
+        in_flagged[flagged] = True
+        term = ctx.nonzero_term & in_flagged[row_of]
+        coefs = rows.coefs[term]
+        d = np.where(ge[row_of[term]], coefs, -coefs)
+        cols = rows.cols[term]
+        with np.errstate(invalid="ignore", over="ignore"):
+            contrib = np.where(
+                d > 0.0,
+                d * np.asarray(prop_lower, dtype=np.float64)[cols],
+                d * np.asarray(prop_upper, dtype=np.float64)[cols],
+            )
+        prop_act_lo = row_sums(row_of[term], contrib, len(in_flagged))[flagged]
+        prop_tightest = size - (prop_act_lo + size - bound)
+        return np.isfinite(prop_act_lo) & (prop_tightest <= self._ABS_SLACK)
 
 
 @model_rule
@@ -372,27 +400,47 @@ class DuplicateRowRule(ModelRule):
     )
     hint = "merge the rows into a single range constraint"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        groups: dict[tuple[tuple[int, float], ...], list[int]] = {}
-        rows = model.constraints
-        for i, constraint in enumerate(rows):
-            coeffs = constraint.normalized()[0]
-            signature = tuple(
-                sorted((idx, c) for idx, c in coeffs.items() if c != 0.0)
+    def check_context(self, ctx: ModelContext) -> Iterator[Diagnostic]:
+        rows, nonzero = ctx.rows, ctx.nonzero_term
+        per_row = np.bincount(ctx.row_of[nonzero], minlength=len(rows.counts))
+        keyed = np.flatnonzero(per_row)
+        if len(keyed) < 2:
+            return
+        # An order-free hash of each row's nonzero (column, coefficient)
+        # pairs: equal left-hand sides hash equally, so only the rows
+        # that share a hash with another row are compared exactly.
+        term_hash = _uint64_mix(
+            _uint64_mix(rows.cols[nonzero].view(np.uint64))
+            ^ rows.coefs[nonzero].view(np.uint64)
+        )
+        starts = (np.cumsum(per_row) - per_row)[keyed]
+        row_hash = np.add.reduceat(term_hash, starts)
+        _, inverse, multiplicity = np.unique(
+            row_hash, return_inverse=True, return_counts=True
+        )
+        shared = multiplicity[inverse] > 1
+        # A row's set of nonzero (column, coefficient) pairs is its left-
+        # hand side: columns are unique within a row, so the sets are
+        # equal exactly when the sorted term lists are.
+        groups: dict[frozenset[tuple[int, float]], list[int]] = {}
+        constraints = ctx.model.constraints
+        for i in keyed[shared].tolist():
+            lhs = frozenset(
+                item for item in constraints[i].expr.coeffs.items()
+                if item[1] != 0.0
             )
-            if signature:
-                groups.setdefault(signature, []).append(i)
+            groups.setdefault(lhs, []).append(i)
         for indices in groups.values():
             if len(indices) < 2:
                 continue
             names = [
-                rows[i].name or f"#{i}" for i in indices[:4]
+                constraints[i].name or f"#{i}" for i in indices[:4]
             ]
             shown = ", ".join(names)
             if len(indices) > 4:
                 shown += f", ... ({len(indices) - 4} more)"
             yield self.diagnostic(
                 f"{len(indices)} rows share one left-hand side: {shown}",
-                location=_row_location(indices[0], rows[indices[0]]),
+                location=_row_location(indices[0], constraints[indices[0]]),
                 rows=list(indices),
             )

@@ -5,10 +5,15 @@ inputs — template, requirements, library — before encoding) or
 :class:`ModelRule` (checks a built :class:`~repro.milp.model.Model`
 before solving), fill in the class metadata (``rule_id``, severity,
 trigger example and fix hint — the same strings ``docs/diagnostics.md``
-catalogs), implement ``check`` as a generator of
-:class:`~repro.analysis.diagnostics.Diagnostic`, and register it with the
-``@spec_rule`` / ``@model_rule`` decorator.  The analyzer entry points in
-:mod:`repro.analysis.analyzer` run every registered rule.
+catalogs), implement ``check`` (spec rules) or ``check_context`` (model
+rules) as a generator of :class:`~repro.analysis.diagnostics.Diagnostic`,
+and register it with the ``@spec_rule`` / ``@model_rule`` decorator.
+The analyzer entry points in :mod:`repro.analysis.analyzer` run every
+registered rule.
+
+Model rules read a :class:`ModelContext`: the model flattened once into
+arrays, so each rule is a handful of numpy masks and Python only formats
+the messages of flagged rows and variables.
 """
 
 from __future__ import annotations
@@ -16,11 +21,15 @@ from __future__ import annotations
 import abc
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.library.catalog import Library
-from repro.milp.model import Model
+from repro.milp.model import Model, RowArrays
 from repro.network.requirements import (
     LifetimeRequirement,
     LinkQualityRequirement,
@@ -69,6 +78,93 @@ class SpecContext:
         )
 
 
+def row_sums(
+    row_of: npt.NDArray[np.int64], weights: npt.NDArray[np.float64], rows: int
+) -> npt.NDArray[np.float64]:
+    """Per-row sums of term ``weights``, added in term order.
+
+    ``np.bincount`` accumulates term by term from 0.0, so each sum is
+    bitwise the left-to-right loop over that row's terms.
+    """
+    sums = np.bincount(row_of, weights=weights, minlength=rows)
+    return sums.astype(np.float64, copy=False)
+
+
+class ModelContext:
+    """A built model as the arrays every model-level rule reads.
+
+    :func:`~repro.analysis.analyzer.analyze_model` builds one per call:
+    a single flattening of the rows (:meth:`Model.row_arrays`) plus the
+    variable bounds and kinds.  The derived masks and activity intervals
+    are computed on first use and shared by the rules that need them.
+    """
+
+    def __init__(self, model: Model) -> None:
+        self.model = model
+        self.rows: RowArrays = model.row_arrays()
+        #: Row index of every flattened term.
+        self.row_of: npt.NDArray[np.int64] = self.rows.row_of_terms()
+        variables = model.variables
+        n = len(variables)
+        self.n = n
+        self.var_lower: npt.NDArray[np.float64] = np.fromiter(
+            (var.lower for var in variables), dtype=np.float64, count=n
+        )
+        self.var_upper: npt.NDArray[np.float64] = np.fromiter(
+            (var.upper for var in variables), dtype=np.float64, count=n
+        )
+        self.integer: npt.NDArray[np.bool_] = np.fromiter(
+            (var.is_integer for var in variables), dtype=np.bool_, count=n
+        )
+
+    @cached_property
+    def binary(self) -> npt.NDArray[np.bool_]:
+        """Integer variables with 0/1 bounds (:attr:`Var.is_binary`)."""
+        return self.integer & (self.var_lower == 0.0) & (self.var_upper == 1.0)
+
+    @cached_property
+    def nonzero_term(self) -> npt.NDArray[np.bool_]:
+        """Terms with a nonzero (or NaN) coefficient."""
+        return self.rows.coefs != 0.0
+
+    @cached_property
+    def foreign_term(self) -> npt.NDArray[np.bool_]:
+        """Terms whose column is not one of the model's variables."""
+        cols = self.rows.cols
+        return (cols < 0) | (cols >= self.n)
+
+    @cached_property
+    def valid_row(self) -> npt.NDArray[np.bool_]:
+        """Rows whose every term, zero or not, names a model variable."""
+        m = len(self.rows.counts)
+        foreign = np.bincount(self.row_of[self.foreign_term], minlength=m)
+        return foreign == 0
+
+    @cached_property
+    def activity(
+        self,
+    ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+        """Interval of every valid row's ``sum(coeff * var)`` over bounds.
+
+        Zero coefficients are skipped and each row is summed in insertion
+        order, so the sums are bitwise those of a per-term loop.  Rows
+        with a foreign column read ``[0, 0]``.
+        """
+        rows = self.rows
+        used = self.nonzero_term & self.valid_row[self.row_of]
+        cols = rows.cols[used]
+        coefs = rows.coefs[used]
+        with np.errstate(invalid="ignore", over="ignore"):
+            at_lower = coefs * self.var_lower[cols]
+            at_upper = coefs * self.var_upper[cols]
+        positive = coefs > 0.0
+        row_of = self.row_of[used]
+        m = len(rows.counts)
+        act_lo = row_sums(row_of, np.where(positive, at_lower, at_upper), m)
+        act_hi = row_sums(row_of, np.where(positive, at_upper, at_lower), m)
+        return act_lo, act_hi
+
+
 class Rule(abc.ABC):
     """Shared metadata of every analysis rule (see ``docs/diagnostics.md``)."""
 
@@ -112,11 +208,19 @@ class SpecRule(Rule):
 
 
 class ModelRule(Rule):
-    """A rule over a built MILP model."""
+    """A rule over a built MILP model.
+
+    Subclasses implement :meth:`check_context`; :meth:`check` runs the
+    rule alone on a model.
+    """
+
+    def check(self, model: Model) -> Iterator[Diagnostic]:
+        """Yield findings for the given model (flattened for this rule)."""
+        return self.check_context(ModelContext(model))
 
     @abc.abstractmethod
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        """Yield findings for the given model."""
+    def check_context(self, ctx: ModelContext) -> Iterator[Diagnostic]:
+        """Yield findings for the model behind ``ctx``."""
 
 
 _SPEC_RULES: dict[str, SpecRule] = {}

@@ -56,27 +56,44 @@ def _reachable_from(graph: DiGraph, sources: set[int], forward: bool) -> set[int
     return seen
 
 
+def _unmasked_successors(graph: DiGraph) -> dict[int, list[int]]:
+    """Every node's successors over the unmasked edges."""
+    successors: dict[int, list[int]] = {}
+    for u, v, _ in graph.edges():
+        if not graph.is_masked(u, v):
+            successors.setdefault(u, []).append(v)
+    return successors
+
+
 def _edge_disjoint_paths(
-    graph: DiGraph, source: int, dest: int, limit: int
+    successors: dict[int, list[int]], source: int, dest: int, limit: int
 ) -> int:
     """Max number of edge-disjoint ``source``->``dest`` paths, capped.
 
-    Edmonds-Karp with unit edge capacities on the residual adjacency; the
+    Edmonds-Karp with unit edge capacities over ``successors``, which is
+    shared by every route of a check and never modified: the route's
+    flow lives in a small overlay of net per-arc flows, so an arc's
+    residual capacity is its template capacity minus its net flow.  The
     cap keeps the work at ``O(limit * E)``, enough to decide whether a
-    requested replica count fits under the template's min-cut.
+    requested replica count fits under the template's min-cut; the
+    capped count is ``min(max-flow, limit)`` whatever paths are found.
     """
-    residual: dict[int, set[int]] = {}
-    for u, v, _ in graph.edges():
-        if not graph.is_masked(u, v):
-            residual.setdefault(u, set()).add(v)
-    flow = 0
-    while flow < limit:
+    # flow[u][v] == -flow[v][u]: net units pushed along u->v.
+    flow: dict[int, dict[int, int]] = {}
+    paths = 0
+    while paths < limit:
         parents: dict[int, int] = {source: source}
         frontier = deque([source])
         while frontier and dest not in parents:
             node = frontier.popleft()
-            for succ in residual.get(node, ()):
-                if succ not in parents:
+            pushed = flow.get(node, {})
+            for succ in successors.get(node, ()):
+                if succ not in parents and pushed.get(succ, 0) < 1:
+                    parents[succ] = node
+                    frontier.append(succ)
+            # Cancelling flow pushed into this node is a residual arc.
+            for succ, units in pushed.items():
+                if units < 0 and succ not in parents:
                     parents[succ] = node
                     frontier.append(succ)
         if dest not in parents:
@@ -84,11 +101,13 @@ def _edge_disjoint_paths(
         node = dest
         while node != source:
             parent = parents[node]
-            residual[parent].discard(node)
-            residual.setdefault(node, set()).add(parent)
+            out = flow.setdefault(parent, {})
+            out[node] = out.get(node, 0) + 1
+            back = flow.setdefault(node, {})
+            back[parent] = back.get(parent, 0) - 1
             node = parent
-        flow += 1
-    return flow
+        paths += 1
+    return paths
 
 
 def _route_location(index: int, route: RouteRequirement) -> str:
@@ -156,13 +175,16 @@ class RouteMinCutRule(SpecRule):
     )
 
     def check(self, ctx: SpecContext) -> Iterator[Diagnostic]:
+        successors: dict[int, list[int]] | None = None
         for i, route in enumerate(ctx.routes):
             if route.replicas < 2 or not route.disjoint:
                 continue
             if not _valid_endpoints(ctx, route):
                 continue
+            if successors is None:
+                successors = _unmasked_successors(ctx.template.graph)
             cut = _edge_disjoint_paths(
-                ctx.template.graph, route.source, route.dest, route.replicas
+                successors, route.source, route.dest, route.replicas
             )
             if 0 < cut < route.replicas:
                 yield self.diagnostic(

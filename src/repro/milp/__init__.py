@@ -11,7 +11,7 @@ from repro.milp.linearize import (
     product_binary_continuous,
     product_binary_many,
 )
-from repro.milp.model import Model, ModelStats, StandardForm
+from repro.milp.model import Model, ModelStats, RowArrays, StandardForm
 from repro.milp.piecewise import ConvexPwl, PwlSegment, convex_pwl_from_samples
 from repro.milp.solution import Solution, SolveStatus
 
@@ -24,6 +24,7 @@ __all__ = [
     "Model",
     "ModelStats",
     "PwlSegment",
+    "RowArrays",
     "Solution",
     "SolveStatus",
     "StandardForm",

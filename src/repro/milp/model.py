@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -37,6 +38,31 @@ class StandardForm:
     x_lower: npt.NDArray[np.float64]
     x_upper: npt.NDArray[np.float64]
     integrality: npt.NDArray[np.int8]  # 1 where the variable is integer, else 0
+
+
+@dataclass(frozen=True)
+class RowArrays:
+    """The rows of a model flattened into insertion-order COO arrays.
+
+    Row ``i`` owns the ``counts[i]`` terms that follow row ``i - 1``'s,
+    in the order of its coefficient dict, zero coefficients included.
+    ``lower``/``upper`` are the row bounds with the expression constant
+    folded in, exactly as :meth:`Constraint.normalized` computes them.
+    Column indices are stored as given, including any the model does
+    not own.
+    """
+
+    cols: npt.NDArray[np.int64]
+    coefs: npt.NDArray[np.float64]
+    counts: npt.NDArray[np.int64]
+    lower: npt.NDArray[np.float64]
+    upper: npt.NDArray[np.float64]
+
+    def row_of_terms(self) -> npt.NDArray[np.int64]:
+        """The row index of every term."""
+        return np.repeat(
+            np.arange(len(self.counts), dtype=np.int64), self.counts
+        )
 
 
 @dataclass(frozen=True)
@@ -244,6 +270,42 @@ class Model:
             num_nonzeros=nonzeros,
         )
 
+    def row_arrays(self) -> RowArrays:
+        """Flatten the rows into insertion-order COO arrays.
+
+        :meth:`to_standard_form` and the model-level analysis rules both
+        read the model through this one flattening.
+        """
+        constraints = self._constraints
+        m = len(constraints)
+        exprs = [constraint.expr for constraint in constraints]
+        coeff_dicts = [expr.coeffs for expr in exprs]
+        counts = np.fromiter(map(len, coeff_dicts), dtype=np.int64, count=m)
+        nnz = int(counts.sum())
+        cols = np.fromiter(
+            chain.from_iterable(coeff_dicts), dtype=np.int64, count=nnz
+        )
+        coefs = np.fromiter(
+            chain.from_iterable(coeffs.values() for coeffs in coeff_dicts),
+            dtype=np.float64, count=nnz,
+        )
+        lower = np.fromiter(
+            (constraint.lower for constraint in constraints),
+            dtype=np.float64, count=m,
+        )
+        upper = np.fromiter(
+            (constraint.upper for constraint in constraints),
+            dtype=np.float64, count=m,
+        )
+        constant = np.fromiter(
+            (expr.constant for expr in exprs), dtype=np.float64, count=m
+        )
+        # Infinite sides stay infinite whatever the constant (inf - inf).
+        with np.errstate(invalid="ignore", over="ignore"):
+            lower = np.where(lower == -np.inf, -np.inf, lower - constant)
+            upper = np.where(upper == np.inf, np.inf, upper - constant)
+        return RowArrays(cols, coefs, counts, lower, upper)
+
     def to_standard_form(self) -> StandardForm:
         """Assemble the sparse standard form for the solver backends."""
         n = len(self._vars)
@@ -253,22 +315,12 @@ class Model:
         for idx, coeff in self._objective.coeffs.items():
             c[idx] = coeff
 
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        b_lower = np.empty(m)
-        b_upper = np.empty(m)
-        for i, constraint in enumerate(self._constraints):
-            coeffs, lo, hi = constraint.normalized()
-            b_lower[i] = lo
-            b_upper[i] = hi
-            for idx, coeff in coeffs.items():
-                if coeff != 0.0:
-                    rows.append(i)
-                    cols.append(idx)
-                    data.append(coeff)
+        flat = self.row_arrays()
+        stored = flat.coefs != 0.0
         a_matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(m, n), dtype=float
+            (flat.coefs[stored],
+             (flat.row_of_terms()[stored], flat.cols[stored])),
+            shape=(m, n), dtype=float,
         )
 
         x_lower = np.array([v.lower for v in self._vars])
@@ -279,8 +331,8 @@ class Model:
         return StandardForm(
             c=c,
             a_matrix=a_matrix,
-            b_lower=b_lower,
-            b_upper=b_upper,
+            b_lower=flat.lower,
+            b_upper=flat.upper,
             x_lower=x_lower,
             x_upper=x_upper,
             integrality=integrality,

@@ -4,6 +4,14 @@ Each rule gets a positive case (the finding fires) and a negative case
 (a healthy spec stays silent), on tiny hand-built templates.
 """
 
+import importlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
+
 from repro.analysis import Severity, analyze_problem
 from repro.analysis.rules import SpecContext, spec_rules
 from repro.analysis.spec_rules import (
@@ -16,6 +24,7 @@ from repro.analysis.spec_rules import (
     UnreachableNodesRule,
 )
 from repro.geometry.primitives import Point
+from repro.graph.digraph import DiGraph
 from repro.library.catalog import Library, default_catalog
 from repro.library.components import device
 from repro.library.links import LinkType
@@ -46,6 +55,16 @@ def ctx_for(
     library: Library | None = None,
 ) -> SpecContext:
     return SpecContext.build(template, requirements, library)
+
+
+#: The spec-rules module (the package attribute is the ``spec_rules``
+#: registry function).
+SPEC_RULES = importlib.import_module("repro.analysis.spec_rules")
+
+
+def capped_disjoint_paths(graph: DiGraph, source, dest, limit) -> int:
+    successors = SPEC_RULES._unmasked_successors(graph)
+    return SPEC_RULES._edge_disjoint_paths(successors, source, dest, limit)
 
 
 class TestRouteConnectivity:
@@ -94,6 +113,48 @@ class TestRouteMinCut:
         reqs = RequirementSet()
         reqs.require_route(0, 2, replicas=2, disjoint=False)
         assert not list(RouteMinCutRule().check(ctx_for(template, reqs)))
+
+    def test_cancelled_flow_frees_an_antiparallel_arc(self):
+        """The first shortest path uses u->v, but the only 3-path flow
+        sends a unit along v->u: after cancelling the u->v unit, v->u
+        keeps its own capacity."""
+        s, u, v, t, x, w, y, z = range(8)
+        graph = DiGraph()
+        for a, b in ((s, u), (u, v), (v, t), (s, x), (x, v), (v, u),
+                     (u, y), (y, t), (s, w), (w, v), (u, z), (z, t)):
+            graph.add_edge(a, b, 1.0)
+        assert capped_disjoint_paths(graph, s, t, 10) == 3
+        assert capped_disjoint_paths(graph, s, t, 2) == 2
+
+    def test_masked_edges_carry_no_flow(self):
+        graph = DiGraph()
+        for a, b in ((0, 1), (1, 3), (0, 2), (2, 3)):
+            graph.add_edge(a, b, 1.0)
+        graph.mask_edge(0, 2)
+        assert capped_disjoint_paths(graph, 0, 3, 5) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    arcs=st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7))),
+    limit=st.integers(1, 6),
+)
+def test_capped_disjoint_paths_match_max_flow(n, arcs, limit):
+    """The capped count is min(unit-capacity max-flow, limit)."""
+    arcs = sorted((a, b) for a, b in arcs if a < n and b < n and a != b)
+    graph = DiGraph()
+    for node in range(n):
+        graph.add_node(node)
+    for a, b in arcs:
+        graph.add_edge(a, b, 1.0)
+    rows = [a for a, _ in arcs]
+    cols = [b for _, b in arcs]
+    capacity = csr_matrix(
+        (np.ones(len(arcs), dtype=np.int32), (rows, cols)), shape=(n, n)
+    )
+    flow = maximum_flow(capacity, 0, n - 1).flow_value
+    assert capped_disjoint_paths(graph, 0, n - 1, limit) == min(flow, limit)
 
 
 class TestHopBounds:

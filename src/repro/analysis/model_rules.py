@@ -270,7 +270,8 @@ class LooseBigMRule(ModelRule):
     territory), and no M-shrinking advice applies.  With propagated
     bounds the tightest implied constant collapses to ~0 there and the
     rule stays silent.  Because propagation can only acquit, it runs
-    only when the declared bounds flag at least one row.
+    only when the declared bounds flag at least one row, and only over a
+    well-formed model.
     """
 
     rule_id = "model.loose-big-m"
@@ -363,13 +364,25 @@ class LooseBigMRule(ModelRule):
         so its finding is a false positive.  ``size`` and ``bound`` are
         the flagged rows' binary coefficient magnitude and normalized
         bound.
+
+        Propagation runs only over a well-formed model: a foreign column
+        or a NaN bound or coefficient is an error finding of its own,
+        and propagating over it would raise or read garbage, so such a
+        model acquits nothing.
         """
+        rows, row_of = ctx.rows, ctx.row_of
+        if (
+            ctx.foreign_term.any()
+            or np.isnan(ctx.var_lower).any() or np.isnan(ctx.var_upper).any()
+            or np.isnan(rows.lower).any() or np.isnan(rows.upper).any()
+            or np.isnan(rows.coefs).any()
+        ):
+            return np.zeros(len(flagged), dtype=np.bool_)
         # Deferred import: the presolve package imports the diagnostics
         # types from this package's siblings.
         from repro.analysis.presolve import propagated_bounds
 
         prop_lower, prop_upper, _ = propagated_bounds(ctx.model)
-        rows, row_of = ctx.rows, ctx.row_of
         in_flagged = np.zeros(len(rows.counts), dtype=np.bool_)
         in_flagged[flagged] = True
         term = ctx.nonzero_term & in_flagged[row_of]

@@ -25,6 +25,23 @@ The lifetime requirement itself is the linear budget
     Q_i * (L* / T_report) <= battery_charge      for battery-powered roles,
 
 exactly (3a) after multiplying out the denominator.
+
+The LP relaxation zeroes every big-M of that chain, so the budget row
+alone does not bound a node's route uses.  Each battery node therefore
+also gets *lifted capacity rows* over its use binaries ``y_k`` and its
+device binaries ``m_d``:
+
+    sum_k w_r(k) * y_k  <=  sum_d cap[r,d] * m_d
+
+With device ``d`` chosen, the chain's lower bounds at ETX >= 1 give
+``Q_i >= sleep_d * T_report + sum_k w_d(k) * y_k``, where ``w_d(k)`` is
+the use's radio charge plus one awake slot in place of a sleeping one,
+so the uses must fit the knapsack ``sum_k w_d(k) * y_k <= C_d =
+B - sleep_d * T_report``.  ``cap[r,d]`` is the largest reference weight
+``sum_k w_r(k) * y_k`` that knapsack admits (its fractional optimum), so
+every design the chain admits satisfies the row.  One row is emitted
+per distinct set of device currents, and only when that device cannot
+carry every candidate use.
 """
 
 from __future__ import annotations
@@ -35,6 +52,7 @@ from repro.channel.etx import EtxCurve, build_etx_curve
 from repro.constraints.link_quality import LinkQualityVars
 from repro.constraints.mapping import MappingVars
 from repro.encoding.base import Edge, RoutingEncoding
+from repro.library.components import Device
 from repro.milp.expr import LinExpr, Var, lin_sum
 from repro.milp.model import Model
 from repro.network.requirements import LifetimeRequirement, PowerConfig, TdmaConfig
@@ -65,6 +83,108 @@ def lifetime_budget_ma_ms(
     lifetime_ms = lifetime.years * 365.25 * 24 * 3600 * 1000.0
     reports = lifetime_ms / tdma.report_interval_ms
     return power.battery_ma_ms / reports
+
+
+#: Relative margin on every capacity coefficient: floating-point rounding
+#: of the knapsack can then only loosen a capacity row, never cut a design.
+_CAP_MARGIN = 1e-9
+
+
+def use_weights(
+    device: Device, tdma: TdmaConfig, airtime_ms: float,
+) -> tuple[float, float]:
+    """Least charge one TX use and one RX use add on ``device`` (mA*ms).
+
+    The radio current over one packet airtime at ETX = 1, plus one awake
+    slot that replaces a sleeping one.
+    """
+    awake = (device.active_ma - device.sleep_ma) * tdma.slot_ms
+    return (
+        device.radio_tx_ma * airtime_ms + awake,
+        device.radio_rx_ma * airtime_ms + awake,
+    )
+
+
+def use_capacity(device: Device, budget: float, tdma: TdmaConfig) -> float:
+    """Budget left for route uses once ``device`` has slept all interval."""
+    return budget - device.sleep_ma * tdma.report_interval_ms
+
+
+def current_classes(devices: list[Device]) -> list[list[Device]]:
+    """Devices grouped by equal currents, in library order.
+
+    Devices of one group weigh every use alike, so they share one
+    capacity row and one coefficient in every other group's row.
+    """
+    groups: dict[tuple[float, float, float, float], list[Device]] = {}
+    for dev in devices:
+        key = (dev.radio_tx_ma, dev.radio_rx_ma, dev.active_ma, dev.sleep_ma)
+        groups.setdefault(key, []).append(dev)
+    return list(groups.values())
+
+
+def _knapsack_cap(
+    values: list[float], weights: list[float], capacity: float,
+) -> float:
+    """``max sum v_k y_k`` s.t. ``sum w_k y_k <= capacity``, ``0 <= y <= 1``.
+
+    The fractional knapsack over positive weights, filled greedily by
+    value per weight.  A negative ``capacity`` admits no design, so 0.
+    """
+    if capacity < 0.0:
+        return 0.0
+    total, room = 0.0, capacity
+    order = sorted(
+        range(len(values)), key=lambda k: values[k] / weights[k], reverse=True
+    )
+    for k in order:
+        if weights[k] <= room:
+            total += values[k]
+            room -= weights[k]
+        else:
+            total += values[k] * room / weights[k]
+            break
+    return total * (1.0 + _CAP_MARGIN)
+
+
+def _add_capacity_rows(
+    model: Model,
+    node_id: int,
+    tx: list[Var],
+    rx: list[Var],
+    devices: list[Device],
+    assign: dict[str, Var],
+    budget: float,
+    tdma: TdmaConfig,
+    airtime_ms: float,
+) -> None:
+    """The lifted capacity rows ``lifetime[i]:<dev>`` of one battery node."""
+    # (TX, RX) use counts per binary: a relay's path is both.
+    counts: dict[int, list[int]] = {}
+    for use in tx:
+        counts.setdefault(use.index, [0, 0])[0] += 1
+    for use in rx:
+        counts.setdefault(use.index, [0, 0])[1] += 1
+    classes = current_classes(devices)
+    knapsacks: list[tuple[list[float], float]] = []
+    for members in classes:
+        w_tx, w_rx = use_weights(members[0], tdma, airtime_ms)
+        if w_tx <= 0.0 or w_rx <= 0.0:
+            return  # the greedy knapsack needs positive weights
+        weights = [n_tx * w_tx + n_rx * w_rx for n_tx, n_rx in counts.values()]
+        knapsacks.append((weights, use_capacity(members[0], budget, tdma)))
+    for members, (ref_weights, ref_capacity) in zip(classes, knapsacks):
+        if sum(ref_weights) <= ref_capacity:
+            continue  # this device carries every candidate use
+        coeffs = dict(zip(counts, ref_weights))
+        for others, (weights, capacity) in zip(classes, knapsacks):
+            cap = _knapsack_cap(ref_weights, weights, capacity)
+            if cap > 0.0:
+                for dev in others:
+                    coeffs[assign[dev.name].index] = -cap
+        model.add(
+            LinExpr(coeffs) <= 0.0, f"lifetime[{node_id}]:{members[0].name}"
+        )
 
 
 def build_energy(
@@ -217,4 +337,9 @@ def build_energy(
             role = template.node(node_id).role
             if role not in lifetime.mains_roles:
                 model.add(charge <= budget, f"lifetime[{node_id}]")
+                _add_capacity_rows(
+                    model, node_id, tx_uses.get(node_id, []),
+                    rx_uses.get(node_id, []), devices,
+                    mapping.assign[node_id], budget, tdma, airtime_ms,
+                )
     return energy

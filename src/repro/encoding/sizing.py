@@ -15,6 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.channel.etx import build_etx_curve
+from repro.constraints.energy import (
+    current_classes,
+    lifetime_budget_ma_ms,
+    use_capacity,
+    use_weights,
+)
 from repro.library.catalog import Library
 from repro.network.requirements import RequirementSet
 from repro.network.template import Template
@@ -149,15 +155,33 @@ def estimate_full_encoding_stats(
             num_cons += dev_u[u] + dev_u[v]  # qtx/qrx device rows
             num_cons += 2 * replicas_total  # w activation rows
         touched = set(out_deg) | set(in_deg)
-        mains = (
-            requirements.lifetime.mains_roles
-            if requirements.lifetime is not None
-            else frozenset()
+        lifetime = requirements.lifetime
+        tdma = requirements.tdma
+        airtime_ms = template.link_type.packet_airtime_ms(
+            requirements.power.packet_bytes
+        )
+        budget = (
+            lifetime_budget_ma_ms(lifetime, tdma, requirements.power)
+            if lifetime is not None
+            else 0.0
         )
         for node_id in touched:
             num_vars += 2  # qact, qsleep
             num_cons += 2 * dev_u[node_id]
-            if (requirements.lifetime is not None
-                    and template.node(node_id).role not in mains):
-                num_cons += 1  # lifetime budget
+            role = template.node(node_id).role
+            if lifetime is None or role in lifetime.mains_roles:
+                continue
+            num_cons += 1  # lifetime budget
+            # Capacity rows: every edge carries one use per replica, so a
+            # device class's total use weight is a closed form.
+            n_tx = replicas_total * out_deg.get(node_id, 0)
+            n_rx = replicas_total * in_deg.get(node_id, 0)
+            classes = current_classes(library.for_role(role))
+            weights = [use_weights(c[0], tdma, airtime_ms) for c in classes]
+            if all(w_tx > 0.0 and w_rx > 0.0 for w_tx, w_rx in weights):
+                num_cons += sum(
+                    1 for c, (w_tx, w_rx) in zip(classes, weights)
+                    if n_tx * w_tx + n_rx * w_rx
+                    > use_capacity(c[0], budget, tdma)
+                )
     return SizeEstimate(num_vars=num_vars, num_constraints=num_cons)

@@ -48,6 +48,21 @@ def _valid_indices(coeffs: dict[int, float], n: int) -> bool:
     return all(0 <= idx < n for idx in coeffs)
 
 
+def _well_formed(model: Model) -> bool:
+    """No foreign column and no NaN bound or coefficient anywhere."""
+    n = len(model.variables)
+    for var in model.variables:
+        if math.isnan(var.lower) or math.isnan(var.upper):
+            return False
+    for constraint in model.constraints:
+        coeffs, lo, hi = constraint.normalized()
+        if math.isnan(lo) or math.isnan(hi) or not _valid_indices(coeffs, n):
+            return False
+        if any(math.isnan(coeff) for coeff in coeffs.values()):
+            return False
+    return True
+
+
 def _activity(
     coeffs: dict[int, float], variables: list[Var]
 ) -> tuple[float, float]:
@@ -228,10 +243,11 @@ class ReferenceLooseBigMRule(LooseBigMRule):
         from repro.analysis.presolve import propagated_bounds
 
         n = len(model.variables)
-        if n:
+        # Propagation only over a well-formed model; otherwise the
+        # declared bounds stand alone and nothing is acquitted.
+        propagate = n > 0 and _well_formed(model)
+        if propagate:
             prop_lower, prop_upper, _ = propagated_bounds(model)
-        else:
-            prop_lower, prop_upper = [], []
         for i, constraint in enumerate(model.constraints):
             coeffs, lo, hi = constraint.normalized()
             if not _valid_indices(coeffs, n):
@@ -263,13 +279,15 @@ class ReferenceLooseBigMRule(LooseBigMRule):
             if len(binaries) != 1 or not has_continuous:
                 continue
             act_lo, _ = _activity(d, model.variables)
-            prop_act_lo = 0.0
-            for idx, coeff in d.items():
-                if coeff == 0.0:
-                    continue
-                prop_act_lo += coeff * (
-                    prop_lower[idx] if coeff > 0.0 else prop_upper[idx]
-                )
+            prop_act_lo = math.nan
+            if propagate:
+                prop_act_lo = 0.0
+                for idx, coeff in d.items():
+                    if coeff == 0.0:
+                        continue
+                    prop_act_lo += coeff * (
+                        prop_lower[idx] if coeff > 0.0 else prop_upper[idx]
+                    )
             if not math.isfinite(act_lo) or not math.isfinite(bound):
                 continue
             for var, coeff in binaries:
@@ -346,12 +364,9 @@ REFERENCE_RULES: tuple[ModelRule, ...] = (
 )
 
 
-def reference_diagnostics(
-    model: Model, *, skip: tuple[str, ...] = ()
-) -> list[Diagnostic]:
-    """Every reference rule's findings, in order, minus ``skip`` ids."""
+def reference_diagnostics(model: Model) -> list[Diagnostic]:
+    """Every reference rule's findings, in order."""
     found: list[Diagnostic] = []
     for rule in REFERENCE_RULES:
-        if rule.rule_id not in skip:
-            found.extend(rule.check(model))
+        found.extend(rule.check(model))
     return found

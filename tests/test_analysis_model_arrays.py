@@ -9,7 +9,6 @@ corruptions a buggy encoder can produce.
 """
 
 import importlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from scipy import sparse
 
 from repro.analysis import analyze_model
 from repro.analysis.model_rules import DuplicateRowRule, LooseBigMRule
-from repro.analysis.rules import model_rules
 from repro.milp.expr import Constraint, LinExpr
 from repro.milp.model import Model, StandardForm
 
@@ -134,14 +132,6 @@ def drawn_models(draw):
     return m
 
 
-class _Propagated(Exception):
-    """Raised by a patched ``propagated_bounds`` to detect the call."""
-
-
-def _never_propagate(model, **kwargs):
-    raise _Propagated
-
-
 @settings(
     max_examples=400,
     deadline=None,
@@ -149,28 +139,9 @@ def _never_propagate(model, **kwargs):
 )
 @given(model=drawn_models())
 def test_analyze_model_matches_the_per_row_reference(model):
-    try:
-        expected = reference_diagnostics(model)
-    except (IndexError, ValueError):
-        # The per-row loose-big-m propagated bounds on every model, and
-        # propagation fails on models it cannot represent: a foreign
-        # column past the end indexes off its bound lists, a NaN bound
-        # on an integer cannot be rounded.  The array rule propagates
-        # only to acquit a declared-bounds finding: the other rules must
-        # still agree, and without such a finding the rule is silent.
-        others = [r for r in model_rules() if r.rule_id != "model.loose-big-m"]
-        found = analyze_model(model, rules=others).diagnostics
-        assert fields(found) == fields(
-            reference_diagnostics(model, skip=("model.loose-big-m",))
-        )
-        with mock.patch.object(
-            PRESOLVE, "propagated_bounds", _never_propagate
-        ):
-            try:
-                assert not list(LooseBigMRule().check(model))
-            except _Propagated:
-                pass
-        return
+    # Both propagate only over well-formed models, so neither raises on
+    # the drawn corruptions (foreign columns, NaN bounds).
+    expected = reference_diagnostics(model)
     assert fields(analyze_model(model).diagnostics) == fields(expected)
 
 
@@ -290,6 +261,42 @@ class TestLooseBigMAcquittal:
         m, c = big_m_model()
         m.add(c >= 6, name="floor")  # c >= 6 makes the row vacuous
         assert not list(LooseBigMRule().check(m))
+
+    def test_foreign_column_reports_instead_of_raising(self):
+        """A row past the last column must not reach the propagation:
+        the foreign-variable error and the big-M warning are reported."""
+        m, _ = big_m_model()
+        m._constraints.append(
+            Constraint(LinExpr({0: 1.0, 5: 1.0}), -INF, 1.0, "foreign")
+        )
+        report = analyze_model(m)
+        assert [d.rule_id for d in report.errors] == [
+            "model.foreign-variable"
+        ]
+        big_m = [
+            d for d in report.diagnostics
+            if d.rule_id == "model.loose-big-m"
+        ]
+        assert [d.location for d in big_m] == ["row 'indicator'"]
+        assert big_m[0].data["tightest"] == 6.0
+
+    def test_nan_integer_bound_reports_instead_of_raising(self):
+        """A NaN lower bound on an integer in another row cannot be
+        rounded by the propagation: report it, acquit nothing."""
+        m, c = big_m_model()
+        k = m.integer("k", 0.0, 5.0)
+        m.add(k + c <= 12, name="other")
+        m.add(c >= 6, name="floor")  # would acquit a well-formed model
+        k.lower = NAN
+        report = analyze_model(m)
+        assert [
+            (d.rule_id, d.location) for d in report.errors
+        ] == [("model.variable-bounds", "var 'k'")]
+        big_m = [
+            d for d in report.diagnostics
+            if d.rule_id == "model.loose-big-m"
+        ]
+        assert [d.location for d in big_m] == ["row 'indicator'"]
 
     def test_propagation_runs_only_for_a_declared_candidate(
         self, monkeypatch

@@ -1,25 +1,25 @@
 """Tests for the energy/lifetime constraints (3a)-(3b)."""
 
+import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.constraints import (
-    build_energy,
-    build_link_quality,
-    build_mapping,
-    lifetime_budget_ma_ms,
-)
+from repro.constraints import lifetime_budget_ma_ms
 from repro.core import DataCollectionExplorer
 from repro.encoding import ApproximatePathEncoder
-from repro.library import default_catalog
-from repro.milp import HighsSolver, Model
+from repro.geometry.primitives import Point
+from repro.library import Library, default_catalog, device
+from repro.milp import BranchAndBoundSolver, HighsSolver, Model
 from repro.network import (
     LifetimeRequirement,
     LinkQualityRequirement,
+    NetworkNode,
     PowerConfig,
     RequirementSet,
-    RouteRequirement,
     TdmaConfig,
+    Template,
     small_grid_template,
+    synthetic_template,
 )
 from repro.validation import node_charge_ma_ms, validate
 
@@ -150,3 +150,172 @@ class TestEnergyModel:
                 continue
             expected = len(arch.tx_uses(node_id)) + len(arch.rx_uses(node_id))
             assert solution.value(k_expr) == pytest.approx(expected)
+
+
+def is_capacity_row(constraint) -> bool:
+    """The lifted rows ``lifetime[i]:<dev>``, not the budgets ``lifetime[i]``."""
+    return constraint.name.startswith("lifetime[") and ":" in constraint.name
+
+
+def data_collection_requirements(instance, years, replicas=2):
+    reqs = RequirementSet()
+    for s in instance.sensor_ids:
+        reqs.require_route(s, instance.sink_id, replicas=replicas,
+                           disjoint=replicas > 1)
+    reqs.link_quality = LinkQualityRequirement(min_snr_db=20.0)
+    reqs.lifetime = LifetimeRequirement(years=years)
+    return reqs
+
+
+def build_cost_model(instance, reqs, k_star):
+    return DataCollectionExplorer(
+        instance.template, default_catalog(), reqs,
+        encoder=ApproximatePathEncoder(k_star=k_star), analyze=False,
+    ).build("cost").model
+
+
+def lp_bound(model: Model) -> float:
+    """Optimum of the LP relaxation (every integrality dropped)."""
+    sf = model.to_standard_form()
+    res = milp(
+        sf.c,
+        constraints=LinearConstraint(sf.a_matrix, sf.b_lower, sf.b_upper),
+        bounds=Bounds(sf.x_lower, sf.x_upper),
+        integrality=np.zeros_like(sf.integrality),
+    )
+    assert res.status == 0, res.message
+    return res.fun + model.objective.constant
+
+
+LIFETIME_BOUND = [
+    pytest.param(
+        lambda: small_grid_template(nx=4, ny=3, spacing=10.0), years, 6,
+        id=f"grid-{years}y",
+    )
+    for years in (10.0, 12.5, 15.0)
+] + [
+    pytest.param(
+        lambda n=n, e=e, seed=seed: synthetic_template(n, e, seed=seed),
+        5.0, 10, id=f"synthetic-{n}x{e}-s{seed}",
+    )
+    for n, e, seed in ((30, 12, 2), (40, 15, 4), (50, 15, 5))
+]
+
+
+class TestCapacityRows:
+    """The lifted rows ``sum_k w_r(k) y_k <= sum_d cap[r,d] m_d``."""
+
+    @pytest.mark.parametrize("make, years, k_star", LIFETIME_BOUND)
+    def test_rows_keep_the_optimum(self, make, years, k_star):
+        instance = make()
+        model = build_cost_model(
+            instance, data_collection_requirements(instance, years), k_star
+        )
+        with_rows = HighsSolver().solve(model)
+        relaxed, deferred = model.relaxed_copy(is_capacity_row)
+        assert deferred, "instance must be lifetime-bound"
+        without = HighsSolver().solve(relaxed)
+        assert with_rows.status.has_solution and without.status.has_solution
+        assert with_rows.objective == pytest.approx(without.objective,
+                                                    rel=1e-9)
+        # Valid inequalities: the chain's own optimum satisfies every row.
+        for row in deferred:
+            assert without.value(row.expr) <= row.upper + 1e-6, row.name
+
+    def test_highs_and_branch_and_bound_agree(self):
+        instance = small_grid_template(nx=3, ny=2, spacing=10.0)
+        model = build_cost_model(
+            instance, data_collection_requirements(instance, 15.0), 3
+        )
+        assert any(is_capacity_row(c) for c in model.constraints)
+        highs = HighsSolver().solve(model)
+        bnb = BranchAndBoundSolver(time_limit=120).solve(model)
+        assert highs.status.has_solution and bnb.status.has_solution
+        assert bnb.objective == pytest.approx(highs.objective, rel=1e-6)
+
+    def test_hand_computed_caps(self):
+        """Two sensors route through one relay candidate, so each path
+        binary is both an RX and a TX use of the relay.  Of its devices,
+        ``std`` carries one path, ``lp`` carries both (no row of its
+        own) and ``dead`` cannot even sleep through the budget (C < 0,
+        never a coefficient)."""
+        library = Library()
+        library.add(device("sensor", ("sensor",), cost=0.0, sleep_ma=0.01))
+        library.add(device("sink", ("sink",), cost=0.0))
+        library.add(device("std", ("relay",), cost=20.0, sleep_ma=0.03))
+        library.add(device("lp", ("relay",), cost=45.0, radio_tx_ma=9.1,
+                           radio_rx_ma=6.1, active_ma=2.5, sleep_ma=0.01))
+        library.add(device("dead", ("relay",), cost=1.0, sleep_ma=0.05))
+        nodes = [
+            NetworkNode(0, Point(0.0, 0.0), "sensor", True),
+            NetworkNode(1, Point(0.0, 5.0), "sensor", True),
+            NetworkNode(2, Point(5.0, 2.0), "relay", False),
+            NetworkNode(3, Point(10.0, 2.0), "sink", True),
+        ]
+        template = Template(nodes, name="relay-line")
+        for u, v in ((0, 2), (1, 2), (2, 3)):
+            template.set_link(u, v, 60.0)
+        reqs = RequirementSet()
+        for sensor in (0, 1):
+            reqs.require_route(sensor, 3)
+        reqs.lifetime = LifetimeRequirement(years=10.0)
+        built = DataCollectionExplorer(
+            template, library, reqs, encoder=ApproximatePathEncoder(k_star=2),
+            analyze=False,
+        ).build("cost")
+        model = built.model
+
+        tdma, power = TdmaConfig(), PowerConfig()
+        budget = lifetime_budget_ma_ms(reqs.lifetime, tdma, power)
+        airtime = template.link_type.packet_airtime_ms(power.packet_bytes)
+        # One path = one RX and one TX use: both radio currents over the
+        # airtime at ETX 1, plus two awake slots replacing sleeping ones.
+        w_std = (29.0 + 24.0) * airtime + 2 * (8.0 - 0.03) * tdma.slot_ms
+        w_lp = (9.1 + 6.1) * airtime + 2 * (2.5 - 0.01) * tdma.slot_ms
+        w_dead = (29.0 + 24.0) * airtime + 2 * (8.0 - 0.05) * tdma.slot_ms
+        c_std = budget - 0.03 * tdma.report_interval_ms
+        c_lp = budget - 0.01 * tdma.report_interval_ms
+        c_dead = budget - 0.05 * tdma.report_interval_ms
+        assert w_std < c_std < 2 * w_std
+        assert 2 * w_lp <= c_lp
+        assert c_dead < 0
+
+        rows = {c.name: c for c in model.constraints if is_capacity_row(c)}
+        assert sorted(rows) == ["lifetime[2]:dead", "lifetime[2]:std"]
+        paths = built.encoding.edge_uses[(2, 3)]
+        m = built.mapping.assign[2]
+
+        def coefficients(name):
+            row = rows[name]
+            assert row.lower == -np.inf and row.upper == 0.0
+            return {
+                idx: pytest.approx(c, rel=1e-8)
+                for idx, c in row.expr.coeffs.items()
+            }
+
+        # std: it fits one path and a fraction of the other, lp fits both.
+        assert coefficients("lifetime[2]:std") == {
+            paths[0].index: w_std, paths[1].index: w_std,
+            m["std"].index: -c_std, m["lp"].index: -2 * w_std,
+        }
+        # dead: std's knapsack admits c_std / w_std paths.
+        assert coefficients("lifetime[2]:dead") == {
+            paths[0].index: w_dead, paths[1].index: w_dead,
+            m["std"].index: -w_dead * c_std / w_std,
+            m["lp"].index: -2 * w_dead,
+        }
+        # Only lp can carry both paths, and the solver finds it.
+        solution = HighsSolver().solve(model)
+        assert built.mapping.decode_sizing(solution)[2] == "lp"
+
+    def test_root_lp_bound_rises_on_the_ladder(self):
+        """On the (50,20) Table 3 rung the LP relaxation of the big-M
+        chain alone is ~103.4; with the capacity rows it exceeds 116."""
+        instance = synthetic_template(50, 20, seed=11)
+        model = build_cost_model(
+            instance, data_collection_requirements(instance, 5.0), 10
+        )
+        relaxed, deferred = model.relaxed_copy(is_capacity_row)
+        assert deferred
+        assert lp_bound(relaxed) < 104.0
+        assert lp_bound(model) > 116.0

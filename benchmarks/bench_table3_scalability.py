@@ -129,18 +129,17 @@ def test_table3_row(benchmark, n_total, n_end, table_rows):
 
 
 def test_table3_accel_delta(benchmark):
-    """Acceleration delta on the smallest Table 3 family: warm starts +
-    lazy cuts must reproduce the cold objective (the exhaustive sweep
-    is in ``bench_warmstart.py``; this pins the parity on the same
-    solver configuration the table rows use)."""
+    """Acceleration delta on the smallest Table 3 family: the warm start
+    must reproduce the cold objective (the exhaustive sweep is in
+    ``bench_warmstart.py``; this pins the parity on the same solver
+    configuration the table rows use)."""
     n_total, n_end = SMALL_LADDER[0]
     instance, reqs = make_problem(n_total, n_end)
     cold = solve_approx(instance, reqs)
     assert cold.feasible
 
     accel = benchmark.pedantic(
-        lambda: solve_approx(instance, reqs, warm_start=True,
-                             lazy_cuts=True),
+        lambda: solve_approx(instance, reqs, warm_start=True),
         rounds=1, iterations=1,
     )
     assert accel.feasible
@@ -154,7 +153,7 @@ def test_table3_accel_delta(benchmark):
     write_table(
         "table3_accel_delta",
         f"{'#Nodes':>7} {'#End devices':>12} {'cold s':>8} "
-        f"{'warm+lazy s':>12} {'objective':>10}",
+        f"{'warm s':>12} {'objective':>10}",
         [
             f"{n_total:>7} {n_end:>12} {cold.total_seconds:>8.1f} "
             f"{accel.total_seconds:>12.1f} {accel.objective_value:>10.1f}"

@@ -1,33 +1,26 @@
-"""Acceleration benchmark: warm starts, lazy cuts, portfolio TTFI.
+"""Warm-start benchmark: end-to-end speedup and time to first incumbent.
 
 Builds the data-collection problem for the synthetic Table 3 families
-(see ``bench_table3_scalability.py``) and runs three end-to-end
+(see ``bench_table3_scalability.py``) and runs two end-to-end
 configurations of :class:`repro.DataCollectionExplorer` per instance:
 
-* **cold** — the plain exact solve, no acceleration;
-* **warm+lazy** — ``warm_start=True, lazy_cuts=True``: the greedy
-  primal heuristic's incumbent reaches the backend (native
-  ``setSolution`` with highspy installed, an objective-cutoff row on
-  the scipy fallback) and the solver is wrapped in the lazy-constraint
-  resolve loop;
-* **portfolio** — ``portfolio=True``: the tabu synthesizer raced
-  against the exact solve, measuring time-to-first-incumbent (TTFI).
+* **cold** — the plain exact solve;
+* **warm** — ``warm_start=True``: the greedy primal heuristic's
+  incumbent reaches HiGHS as an objective-cutoff row.
 
-Every configuration must land on the same objective (the acceleration
-layer is exactness-preserving by construction).  The per-case record
-carries both wall-clock times, the warm-start verdict (source, bound,
-consumption mechanism), the lazy-cut round log, and the portfolio TTFI
-as an absolute time and as a fraction of the cold solve.  A dedicated
-``separation`` sub-record exercises the resolve loop with its
-profitability guard disabled on the smallest instance, so the round/cut
-counts are measured rather than skipped.
+Both must land on the same objective (the warm start is
+exactness-preserving by construction).  The per-case record carries
+both wall-clock times and the warm-start verdict (source, bound,
+consumption mechanism).  Time to first incumbent (TTFI) is the greedy
+heuristic's own ``WarmStart.seconds`` — pool selection plus the
+restricted solve — as an absolute time and as a fraction of the cold
+solve.
 
 The gate (``--quick`` exits non-zero on failure; CI runs it as a
 regression tripwire) requires every case to be objective-exact and at
-least one case to show a >= ``GATE_SPEEDUP`` end-to-end speedup
-(warm+lazy vs cold) together with a portfolio TTFI <=
-``GATE_TTFI_FRAC`` of the cold time on that same instance;
-docs/performance.md describes the envelope.
+least one case to show a >= ``GATE_SPEEDUP`` end-to-end speedup (warm
+vs cold) together with a TTFI <= ``GATE_TTFI_FRAC`` of the cold time on
+that same instance; docs/performance.md describes the envelope.
 
 Usage::
 
@@ -55,26 +48,26 @@ from repro import (  # noqa: E402
     default_catalog,
     synthetic_template,
 )
-from repro.accel import LazyCutSolver  # noqa: E402
+from repro.accel import compute_warm_start  # noqa: E402
 from repro.network import (  # noqa: E402
     LifetimeRequirement,
     LinkQualityRequirement,
     RequirementSet,
 )
 
-#: The quick subset ends on the instance whose cold solve takes tens of
-#: seconds — acceleration on sub-second models is pure noise.
+#: The quick subset pairs the smallest family with (100, 50), whose cold
+#: solve took tens of seconds before the lifetime-capacity rows.
 SIZES_QUICK = [(50, 20), (100, 50)]
 SIZES_FULL = [(50, 20), (100, 20), (100, 50), (150, 50)]
 K_STAR = 10
 TIME_LIMIT = 600.0
 #: Relative tolerance of the objective-equality check.
 OBJ_TOL = 1e-6
-#: At least one case must be this much faster end-to-end (warm + lazy
-#: vs cold) ...
+#: At least one case must be this much faster end-to-end (warm vs
+#: cold) ...
 GATE_SPEEDUP = 1.5
-#: ... with the portfolio's first incumbent inside this fraction of the
-#: cold time on the same instance.
+#: ... with the greedy first incumbent inside this fraction of the cold
+#: time on the same instance.
 GATE_TTFI_FRAC = 0.10
 
 
@@ -110,48 +103,25 @@ def _timed_solve(instance, reqs, repeats: int, **flags):
     return result, best_s
 
 
-def _separation_record(instance, reqs) -> dict:
-    """The resolve loop with its profitability guard off, so the round
-    and cut counts are actually measured on a Table 3 model."""
-    built = make_explorer(instance, reqs).build("cost")
-    cold = HighsSolver(time_limit=TIME_LIMIT).solve(built.model)
-    start = time.perf_counter()
-    lazy = LazyCutSolver(
-        HighsSolver(time_limit=TIME_LIMIT), min_deferred_fraction=0.0,
-    ).solve(built.model)
-    elapsed = time.perf_counter() - start
-    info = lazy.extra.get("lazy_cuts", {})
-    delta = abs(lazy.objective - cold.objective)
-    return {
-        "solve_s": elapsed,
-        "rounds": info.get("rounds", []),
-        "cuts_added": info.get("cuts_added", 0),
-        "still_deferred": info.get("still_deferred", 0),
-        "families": info.get("families", []),
-        "objective_exact": delta <= OBJ_TOL * max(1.0, abs(cold.objective)),
-    }
+def _first_incumbent(instance, reqs):
+    """The greedy warm start on a fresh build: its own ``seconds`` is the
+    time to first incumbent."""
+    return compute_warm_start(make_explorer(instance, reqs).build("cost"))
 
 
-def run_case(
-    n_total: int, n_end: int, repeats: int = 1, separation: bool = False,
-) -> dict:
-    """One instance through all three configurations."""
+def run_case(n_total: int, n_end: int, repeats: int = 1) -> dict:
+    """One instance through both configurations."""
     instance, reqs = make_problem(n_total, n_end)
 
     cold, cold_s = _timed_solve(instance, reqs, repeats)
-    accel, accel_s = _timed_solve(
-        instance, reqs, repeats, warm_start=True, lazy_cuts=True,
-    )
-    portfolio, portfolio_s = _timed_solve(instance, reqs, 1, portfolio=True)
+    warm, warm_s = _timed_solve(instance, reqs, repeats, warm_start=True)
+    first = _first_incumbent(instance, reqs)
+    ttfi = first.seconds if first is not None else None
 
-    warm_info = accel.solution.extra.get("warm_start", {})
-    lazy_info = accel.solution.extra.get("lazy_cuts", {})
-    port_meta = portfolio.solution.extra.get("portfolio", {})
-    ttfi = port_meta.get("first_incumbent_s")
-
-    delta = abs(accel.objective_value - cold.objective_value)
+    warm_info = warm.solution.extra.get("warm_start", {})
+    delta = abs(warm.objective_value - cold.objective_value)
     scale = max(1.0, abs(cold.objective_value))
-    case = {
+    return {
         "name": f"warmstart_{n_total}x{n_end}",
         "grid": [n_total, n_end],
         "cold": {
@@ -159,42 +129,27 @@ def run_case(
             "objective": cold.objective_value,
             "e2e_s": cold_s,
         },
-        "warm_lazy": {
-            "status": accel.status.name,
-            "objective": accel.objective_value,
-            "e2e_s": accel_s,
+        "warm": {
+            "status": warm.status.name,
+            "objective": warm.objective_value,
+            "e2e_s": warm_s,
             "warm_start": {
                 "status": warm_info.get("status"),
                 "source": warm_info.get("source"),
                 "objective": warm_info.get("objective"),
                 "mechanism": warm_info.get("mechanism"),
             },
-            "lazy_cuts": {
-                "skipped": lazy_info.get("skipped"),
-                "rounds": len(lazy_info.get("rounds", [])),
-                "cuts_added": lazy_info.get("cuts_added", 0),
-            },
         },
-        "portfolio": {
-            "status": portfolio.status.name,
-            "objective": portfolio.objective_value,
-            "e2e_s": portfolio_s,
-            "winner": port_meta.get("winner"),
-            "first_incumbent_source": port_meta.get(
-                "first_incumbent_source"
-            ),
+        "first_incumbent": {
+            "source": first.source if first is not None else None,
+            "objective": first.objective if first is not None else None,
             "ttfi_s": ttfi,
             "ttfi_frac": (ttfi / cold_s) if ttfi is not None else None,
         },
-        "speedup": cold_s / accel_s if accel_s > 0 else float("inf"),
+        "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         "objective_exact": delta <= OBJ_TOL * scale,
         "objective_delta": delta,
     }
-    port_delta = abs(portfolio.objective_value - cold.objective_value)
-    case["portfolio"]["objective_exact"] = port_delta <= OBJ_TOL * scale
-    if separation:
-        case["separation"] = _separation_record(instance, reqs)
-    return case
 
 
 def evaluate_gate(cases: list[dict]) -> dict:
@@ -204,24 +159,20 @@ def evaluate_gate(cases: list[dict]) -> dict:
     for case in cases:
         if not case["objective_exact"]:
             failures.append(
-                f"{case['name']}: warm+lazy objective drifted by "
+                f"{case['name']}: warm objective drifted by "
                 f"{case['objective_delta']:.3g}"
-            )
-        if not case["portfolio"]["objective_exact"]:
-            failures.append(
-                f"{case['name']}: portfolio objective drifted"
             )
     qualifying = [
         case for case in cases
         if case["objective_exact"]
         and case["speedup"] >= GATE_SPEEDUP
-        and case["portfolio"]["ttfi_frac"] is not None
-        and case["portfolio"]["ttfi_frac"] <= GATE_TTFI_FRAC
+        and case["first_incumbent"]["ttfi_frac"] is not None
+        and case["first_incumbent"]["ttfi_frac"] <= GATE_TTFI_FRAC
     ]
     if not qualifying:
         failures.append(
-            f"no case reached {GATE_SPEEDUP}x warm+lazy speedup with "
-            f"portfolio TTFI <= {GATE_TTFI_FRAC:.0%} of the cold solve"
+            f"no case reached {GATE_SPEEDUP}x warm speedup with "
+            f"TTFI <= {GATE_TTFI_FRAC:.0%} of the cold solve"
         )
     best = max(cases, key=lambda c: c["speedup"])
     return {
@@ -230,7 +181,7 @@ def evaluate_gate(cases: list[dict]) -> dict:
         "qualifying_cases": [case["name"] for case in qualifying],
         "best_case": best["name"],
         "best_speedup": best["speedup"],
-        "best_ttfi_frac": best["portfolio"]["ttfi_frac"],
+        "best_ttfi_frac": best["first_incumbent"]["ttfi_frac"],
         "gate_speedup": GATE_SPEEDUP,
         "gate_ttfi_frac": GATE_TTFI_FRAC,
     }
@@ -239,14 +190,7 @@ def evaluate_gate(cases: list[dict]) -> dict:
 def run_benchmarks(quick: bool) -> dict:
     sizes = SIZES_QUICK if quick else SIZES_FULL
     repeats = 1 if quick else 2
-    cases = [
-        run_case(
-            n_total, n_end, repeats,
-            # The smallest instance also measures raw separation rounds.
-            separation=(n_total, n_end) == sizes[0],
-        )
-        for n_total, n_end in sizes
-    ]
+    cases = [run_case(n_total, n_end, repeats) for n_total, n_end in sizes]
     gate = evaluate_gate(cases)
     return {
         "cases": cases,
@@ -271,14 +215,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     report = run_benchmarks(args.quick)
 
-    print(f"{'case':<22} {'cold s':>8} {'w+l s':>8} {'speedup':>8} "
+    print(f"{'case':<22} {'cold s':>8} {'warm s':>8} {'speedup':>8} "
           f"{'ttfi s':>8} {'ttfi %':>7} {'exact':>6}")
     for case in report["cases"]:
-        port = case["portfolio"]
-        ttfi = port["ttfi_s"]
-        frac = port["ttfi_frac"]
+        ttfi = case["first_incumbent"]["ttfi_s"]
+        frac = case["first_incumbent"]["ttfi_frac"]
         print(f"{case['name']:<22} {case['cold']['e2e_s']:>8.3f} "
-              f"{case['warm_lazy']['e2e_s']:>8.3f} "
+              f"{case['warm']['e2e_s']:>8.3f} "
               f"{case['speedup']:>8.2f} "
               f"{ttfi if ttfi is None else round(ttfi, 4)!s:>8} "
               f"{frac if frac is None else round(100 * frac, 2)!s:>7} "

@@ -22,13 +22,7 @@ Quickstart::
     print(result.summary())
 """
 
-from repro.accel import (
-    LazyCutSolver,
-    TabuSynthesizer,
-    WarmStart,
-    compute_warm_start,
-    race_portfolio,
-)
+from repro.accel import WarmStart, compute_warm_start
 from repro.analysis import (
     AnalysisError,
     AnalysisReport,
@@ -146,7 +140,6 @@ __all__ = [
     "JobRequest",
     "JobResult",
     "KStarSearchResult",
-    "LazyCutSolver",
     "Library",
     "LifetimeRequirement",
     "LinkQualityRequirement",
@@ -173,7 +166,6 @@ __all__ = [
     "SolveStatus",
     "SurvivabilityReport",
     "SynthesisResult",
-    "TabuSynthesizer",
     "TdmaConfig",
     "Template",
     "Trial",
@@ -203,7 +195,6 @@ __all__ = [
     "localization_template",
     "parse_edit",
     "parse_failures_spec",
-    "race_portfolio",
     "result_from_dict",
     "result_to_dict",
     "robust_solve",

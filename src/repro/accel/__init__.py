@@ -1,30 +1,16 @@
-"""MILP acceleration: warm starts, lazy cuts, and the anytime portfolio.
+"""MILP acceleration: the greedy warm start.
 
-The exact solve is the dominant cost on large templates; this package
-attacks it from three sides, all orthogonal to the encodings:
+:mod:`repro.accel.warmstart` is a greedy primal heuristic that rounds a
+feasible topology out of the Yen candidate pools and completes it into
+a full assignment via a small restricted MILP (the (MI)LP-based primal
+heuristic pattern), fed to the backends through
+``Model.hints["warm_start"]``.
 
-* :mod:`repro.accel.warmstart` — a greedy primal heuristic that rounds a
-  feasible topology out of the Yen candidate pools and completes it into
-  a full assignment via a small restricted MILP (the (MI)LP-based primal
-  heuristic pattern), fed to the backends through
-  ``Model.hints["warm_start"]``;
-* :mod:`repro.accel.lazy` — a lazy-constraint resolve loop that defers
-  the big-M link-quality row family, separates violated rows against the
-  incumbent and re-solves warm-started;
-* :mod:`repro.accel.tabu` / :mod:`repro.accel.portfolio` — an anytime
-  tabu synthesizer raced against the exact solve, first acceptable
-  incumbent wins immediately while the exact solve keeps publishing
-  improvements through :class:`~repro.telemetry.progress.SolveProgress`.
-
-All three are opt-in through ``SolveOptions(warm_start=, lazy_cuts=,
-portfolio=)`` and are advisory by construction: every heuristic product
-is re-validated before a backend may act on it, so a bug here can cost
-speed but never correctness.
+It is opt-in through ``SolveOptions(warm_start=True)`` and advisory by
+construction: every backend re-validates the start before acting on it,
+so a bug here can cost speed but never correctness.
 """
 
-from repro.accel.lazy import LazyCutSolver
-from repro.accel.portfolio import merge_trajectories, race_portfolio
-from repro.accel.tabu import TabuResult, TabuSynthesizer
 from repro.accel.warmstart import (
     WarmStart,
     attach_warm_start,
@@ -33,13 +19,8 @@ from repro.accel.warmstart import (
 )
 
 __all__ = [
-    "LazyCutSolver",
-    "TabuResult",
-    "TabuSynthesizer",
     "WarmStart",
     "attach_warm_start",
     "compute_warm_start",
     "greedy_selection",
-    "merge_trajectories",
-    "race_portfolio",
 ]

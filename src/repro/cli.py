@@ -89,24 +89,12 @@ def _add_presolve_arg(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_accel_args(command: argparse.ArgumentParser) -> None:
-    """The shared MILP-acceleration flags (see docs/performance.md)."""
+def _add_warm_start_arg(command: argparse.ArgumentParser) -> None:
+    """The shared ``--warm-start`` flag (see docs/performance.md)."""
     command.add_argument(
         "--warm-start", action="store_true",
         help="seed the MILP solve with a greedy primal incumbent rounded "
              "from the Yen candidate pools (see docs/performance.md)",
-    )
-    command.add_argument(
-        "--lazy-cuts", action="store_true",
-        help="defer the big-M link-quality rows and re-add only the "
-             "violated ones in a resolve loop (exact; see "
-             "docs/performance.md)",
-    )
-    command.add_argument(
-        "--portfolio", action="store_true",
-        help="race a tabu local-search synthesizer against the exact "
-             "solve and return the first acceptable incumbent "
-             "(anytime; see docs/performance.md)",
     )
 
 
@@ -171,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "before falling back (enables the solver "
                           "watchdog; see docs/robustness.md)")
     _add_presolve_arg(syn)
-    _add_accel_args(syn)
+    _add_warm_start_arg(syn)
     _add_failures_arg(syn)
     syn.add_argument("--checkpoint", type=Path, metavar="FILE",
                      help="with --failures: persist each verified failure "
@@ -204,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="retry crashed/errored solves up to N times "
                           "(enables the solver watchdog)")
     _add_presolve_arg(loc)
-    _add_accel_args(loc)
+    _add_warm_start_arg(loc)
     _add_telemetry_args(loc)
 
     lint = sub.add_parser(
@@ -256,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="retry crashed/errored rung solves up to N times "
                           "(enables the solver watchdog)")
     _add_presolve_arg(kst)
-    _add_accel_args(kst)
+    _add_warm_start_arg(kst)
     _add_failures_arg(kst)
     kst.add_argument("--checkpoint", type=Path, metavar="FILE",
                      help="persist each completed rung to a JSONL "
@@ -422,8 +410,6 @@ def _cmd_synthesize(args) -> int:
                                  max_retries=args.max_retries,
                                  presolve=args.presolve,
                                  warm_start=args.warm_start,
-                                 lazy_cuts=args.lazy_cuts,
-                                 portfolio=args.portfolio,
                                  failures=args.failures,
                                  parallel=args.parallel,
                                  checkpoint=(
@@ -531,9 +517,7 @@ def _cmd_localize(args) -> int:
             options=SolveOptions(deadline_s=args.deadline,
                                  max_retries=args.max_retries,
                                  presolve=args.presolve,
-                                 warm_start=args.warm_start,
-                                 lazy_cuts=args.lazy_cuts,
-                                 portfolio=args.portfolio),
+                                 warm_start=args.warm_start),
         )
     except AnalysisError as exc:
         _print_analysis_failure(exc)
@@ -677,8 +661,6 @@ def _cmd_kstar(args) -> int:
                 max_retries=args.max_retries,
                 presolve=args.presolve,
                 warm_start=args.warm_start,
-                lazy_cuts=args.lazy_cuts,
-                portfolio=args.portfolio,
                 failures=args.failures,
                 checkpoint=args.checkpoint,
                 resume=bool(args.resume and args.checkpoint),

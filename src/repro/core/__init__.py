@@ -1,9 +1,4 @@
-"""Core explorers, objectives, results, options and the K* search.
-
-The deprecated ``ArchitectureExplorer``/``LocalizationExplorer`` shims
-remain importable from here (only) until their removal; new code uses
-:func:`repro.explore` or the concrete explorer classes.
-"""
+"""Core explorers, objectives, results, options and the K* search."""
 
 from repro.core.api import (
     JOB_SCHEMA_VERSION,
@@ -14,11 +9,9 @@ from repro.core.api import (
 )
 from repro.core.explorer import (
     AnchorPlacementExplorer,
-    ArchitectureExplorer,
     BuiltProblem,
     DataCollectionExplorer,
     ExplorerBase,
-    LocalizationExplorer,
     decode_architecture,
 )
 from repro.core.facade import build_explorer, explore
@@ -32,7 +25,6 @@ from repro.core.kstar_search import (
 from repro.core.objectives import ObjectiveSpec, parse_objective
 from repro.core.options import (
     DEFAULT_OPTIONS,
-    OPTIONS_SCHEMA_VERSION,
     SolveOptions,
     resolve_options,
 )
@@ -43,9 +35,7 @@ __all__ = [
     "DEFAULT_K_LADDER",
     "DEFAULT_OPTIONS",
     "JOB_SCHEMA_VERSION",
-    "OPTIONS_SCHEMA_VERSION",
     "AnchorPlacementExplorer",
-    "ArchitectureExplorer",
     "BuiltProblem",
     "DataCollectionExplorer",
     "ExplorerBase",
@@ -53,7 +43,6 @@ __all__ = [
     "JobResult",
     "KStarSearchResult",
     "KStarTrial",
-    "LocalizationExplorer",
     "ObjectiveSpec",
     "ParetoFront",
     "ParetoPoint",

@@ -14,16 +14,13 @@ routing (via a pluggable path encoder), link quality and energy.
 
 Most callers should not instantiate explorers directly: the
 :func:`repro.explore` facade picks the right one and routes execution
-through the runtime.  The former entry points
-:class:`ArchitectureExplorer` and :class:`LocalizationExplorer` remain as
-deprecated shims.
+through the runtime.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-import warnings
 from dataclasses import dataclass
 
 from repro.analysis.analyzer import analyze_model, analyze_problem
@@ -138,14 +135,6 @@ class ExplorerBase(abc.ABC):
         :attr:`warm_start_architecture` attribute additionally lets a
         caller (the kstar ladder) seed the heuristic with a previous
         incumbent's topology.
-    lazy_cuts:
-        Solve through the :class:`~repro.accel.lazy.LazyCutSolver`
-        resolve loop: the big-M link-quality rows are deferred and only
-        violated ones are separated back in, round by round.
-    portfolio:
-        Race the anytime tabu synthesizer against the exact solve
-        (:mod:`repro.accel.portfolio`); explorers whose problems carry
-        no candidate pools fall back to the plain exact solve.
     """
 
     def __init__(
@@ -158,8 +147,6 @@ class ExplorerBase(abc.ABC):
         analyze: bool = True,
         presolve: str = "off",
         warm_start: bool = False,
-        lazy_cuts: bool = False,
-        portfolio: bool = False,
     ) -> None:
         self.template = template
         self.library = library
@@ -168,8 +155,6 @@ class ExplorerBase(abc.ABC):
         self.analyze = analyze
         self.presolve = presolve
         self.warm_start = warm_start
-        self.lazy_cuts = lazy_cuts
-        self.portfolio = portfolio
         #: Optional previous incumbent whose topology seeds the greedy
         #: heuristic (the kstar ladder chains rungs through this).
         self.warm_start_architecture: Architecture | None = None
@@ -336,11 +321,8 @@ class ExplorerBase(abc.ABC):
         With presolve active the backend sees the reduced model and the
         assignment is restored to the original variable space before it
         reaches any decode handle.  A presolve infeasibility proof
-        short-circuits the backend entirely.  The acceleration layer
-        hooks in here: a greedy warm start lands on the solved model's
-        hints, ``lazy_cuts`` wraps the backend in the resolve loop, and
-        ``portfolio`` races the tabu synthesizer against the exact
-        solve.
+        short-circuits the backend entirely.  With ``warm_start`` armed
+        the greedy start lands on the solved model's hints first.
         """
         if built.presolve is not None and built.presolve.proved_infeasible:
             return Solution(
@@ -350,8 +332,7 @@ class ExplorerBase(abc.ABC):
                     f"{built.presolve.report.infeasible_reason}"
                 ),
             )
-        warm = None
-        if self.warm_start or self.portfolio:
+        if self.warm_start:
             from repro.accel.warmstart import (
                 attach_warm_start,
                 compute_warm_start,
@@ -360,7 +341,7 @@ class ExplorerBase(abc.ABC):
             warm = compute_warm_start(
                 built, architecture=self.warm_start_architecture
             )
-            if warm is not None and self.warm_start:
+            if warm is not None:
                 attach_warm_start(built.model, warm)
                 if built.presolve is not None:
                     forwarded = built.presolve.postsolve.forward(warm.x)
@@ -370,53 +351,10 @@ class ExplorerBase(abc.ABC):
                             "objective": warm.objective,
                             "source": warm.source,
                         }
-        solver = self.solver
-        if self.lazy_cuts:
-            from repro.accel.lazy import LazyCutSolver
-
-            solver = LazyCutSolver(solver)
-
-        def run_exact() -> Solution:
-            if built.presolve is None:
-                return solver.solve(built.model)
-            reduced = solver.solve(built.presolve.model)
-            return built.presolve.postsolve.restore(reduced)
-
-        if self.portfolio:
-            synthesizer = self._make_synthesizer(built, warm)
-            if synthesizer is not None:
-                from repro.accel.portfolio import race_portfolio
-
-                return race_portfolio(
-                    run_exact,
-                    synthesizer,
-                    assignment_of=lambda arch: self._assignment_solution(
-                        built, arch
-                    ),
-                )
-        return run_exact()
-
-    def _make_synthesizer(self, built: BuiltProblem, warm):
-        """The anytime synthesizer raced by the portfolio, or ``None``
-        when this explorer's problems give it nothing to search over
-        (no candidate pools)."""
-        return None
-
-    def _assignment_solution(self, built: BuiltProblem, architecture):
-        """Lift a synthesizer architecture into a full model assignment
-        via the restricted solve (``None`` when that fails)."""
-        from repro.accel.warmstart import compute_warm_start
-
-        warm = compute_warm_start(built, architecture=architecture)
-        if warm is None:
-            return None
-        return Solution(
-            status=SolveStatus.FEASIBLE,
-            objective=warm.objective,
-            x=warm.x,
-            solve_time=warm.seconds,
-            mip_gap=float("inf"),
-        )
+        if built.presolve is None:
+            return self.solver.solve(built.model)
+        reduced = self.solver.solve(built.presolve.model)
+        return built.presolve.postsolve.restore(reduced)
 
     def _decode(
         self, solution: Solution, built: BuiltProblem
@@ -462,47 +400,15 @@ class DataCollectionExplorer(ExplorerBase):
         analyze: bool = True,
         presolve: str = "off",
         warm_start: bool = False,
-        lazy_cuts: bool = False,
-        portfolio: bool = False,
     ) -> None:
         super().__init__(
             template, library, solver=solver, cache=cache,
             analyze=analyze, presolve=presolve, warm_start=warm_start,
-            lazy_cuts=lazy_cuts, portfolio=portfolio,
         )
         self.requirements = requirements
         self.encoder = encoder or ApproximatePathEncoder(k_star=10)
         self.channel = channel
         self.reach_k_star = reach_k_star
-
-    def _make_synthesizer(self, built: BuiltProblem, warm):
-        """The tabu synthesizer over this problem's candidate pools.
-
-        Seeded with the greedy warm start's topology when one exists, so
-        the racer's first incumbent is available almost immediately.
-        """
-        if built.encoding is None or not built.encoding.selection:
-            return None
-        from repro.accel.tabu import TabuSynthesizer
-
-        initial = None
-        if warm is not None:
-            initial = decode_architecture(
-                Solution(
-                    status=SolveStatus.FEASIBLE,
-                    objective=warm.objective,
-                    x=warm.x,
-                ),
-                built, self.template, self.library,
-            )
-        return TabuSynthesizer(
-            self.template,
-            self.library,
-            self.requirements,
-            built.encoding.selection,
-            channel=self.channel,
-            initial=initial,
-        )
 
     @property
     def encoder_name(self) -> str:
@@ -591,13 +497,10 @@ class AnchorPlacementExplorer(ExplorerBase):
         analyze: bool = True,
         presolve: str = "off",
         warm_start: bool = False,
-        lazy_cuts: bool = False,
-        portfolio: bool = False,
     ) -> None:
         super().__init__(
             template, library, solver=solver, cache=cache,
             analyze=analyze, presolve=presolve, warm_start=warm_start,
-            lazy_cuts=lazy_cuts, portfolio=portfolio,
         )
         self.requirement = requirement
         self.channel = channel
@@ -648,74 +551,6 @@ class AnchorPlacementExplorer(ExplorerBase):
             energy=None,
             localization=loc,
             objective_exprs=objective_exprs,
-        )
-
-
-class ArchitectureExplorer(DataCollectionExplorer):
-    """Deprecated alias of :class:`DataCollectionExplorer`.
-
-    Kept so pre-runtime call sites (including positional ``encoder``)
-    continue to work; new code should use :func:`repro.explore` or
-    :class:`DataCollectionExplorer`.
-    """
-
-    def __init__(
-        self,
-        template: Template,
-        library: Library,
-        requirements: RequirementSet,
-        encoder: RoutingEncoder | None = None,
-        solver=None,
-        channel=None,
-        reach_k_star: int = 20,
-        **options,
-    ) -> None:
-        warnings.warn(
-            "ArchitectureExplorer is deprecated and no longer exported "
-            "from the top-level repro package; use repro.explore() (or "
-            "repro.JobRequest for the service surface), or import "
-            "repro.core.DataCollectionExplorer directly — see "
-            "docs/formulation.md for the migration",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            template, library, requirements,
-            encoder=encoder, solver=solver, channel=channel,
-            reach_k_star=reach_k_star, **options,
-        )
-
-
-class LocalizationExplorer(AnchorPlacementExplorer):
-    """Deprecated alias of :class:`AnchorPlacementExplorer`.
-
-    Kept so pre-runtime call sites (including positional ``channel`` /
-    ``k_star``) continue to work; new code should use
-    :func:`repro.explore` or :class:`AnchorPlacementExplorer`.
-    """
-
-    def __init__(
-        self,
-        template: Template,
-        library: Library,
-        requirement: ReachabilityRequirement,
-        channel: ChannelModel,
-        k_star: int = 20,
-        solver=None,
-        **options,
-    ) -> None:
-        warnings.warn(
-            "LocalizationExplorer is deprecated and no longer exported "
-            "from the top-level repro package; use repro.explore() (or "
-            "repro.JobRequest for the service surface), or import "
-            "repro.core.AnchorPlacementExplorer directly — see "
-            "docs/formulation.md for the migration",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            template, library, requirement, channel,
-            k_star=k_star, solver=solver, **options,
         )
 
 

@@ -53,8 +53,6 @@ def build_explorer(
     cache: EncodeCache | None = None,
     presolve: str = "off",
     warm_start: bool = False,
-    lazy_cuts: bool = False,
-    portfolio: bool = False,
     failures: str | None = None,
     plan=None,
 ) -> ExplorerBase:
@@ -87,8 +85,7 @@ def build_explorer(
             template, library, requirements, channel,
             k_star=20 if k_star is None else k_star,
             solver=solver, cache=cache, presolve=presolve,
-            warm_start=warm_start, lazy_cuts=lazy_cuts,
-            portfolio=portfolio,
+            warm_start=warm_start,
         )
     if isinstance(requirements, RequirementSet):
         if encoder is None:
@@ -101,8 +98,7 @@ def build_explorer(
             template, library, requirements,
             encoder=encoder, solver=solver, channel=channel,
             reach_k_star=reach_k_star, cache=cache, presolve=presolve,
-            warm_start=warm_start, lazy_cuts=lazy_cuts,
-            portfolio=portfolio,
+            warm_start=warm_start,
         )
         explorer.failures = failures
         explorer.floorplan = plan
@@ -210,7 +206,6 @@ def explore(
         encoder=encoder, solver=solver, channel=channel,
         k_star=k_star, reach_k_star=reach_k_star, cache=cache,
         presolve=opts.presolve, warm_start=warm_start,
-        lazy_cuts=opts.lazy_cuts, portfolio=opts.portfolio,
         failures=opts.failures, plan=plan,
     )
     if previous is not None and warm_start:

@@ -226,9 +226,7 @@ def kstar_search(
     # Incremental re-solve rides the warm-start machinery: each rung
     # seeds from the previous rung's incumbent exactly as warm_start
     # does, on top of whatever cache entries the caller pre-seeded.
-    accel = (
-        opts.warm_start or opts.incremental, opts.lazy_cuts, opts.portfolio
-    )
+    warm_start = opts.warm_start or opts.incremental
     failures = opts.failures
     ladder = tuple(ladder)
     with span(
@@ -252,7 +250,7 @@ def kstar_search(
             checkpoint=checkpoint,
             resume=resume,
             presolve=presolve,
-            accel=accel,
+            warm_start=warm_start,
             failures=failures,
         )
         search_span.set_attributes(
@@ -278,7 +276,7 @@ def _kstar_search_impl(
     checkpoint: str | Path | None,
     resume: bool,
     presolve: str = "off",
-    accel: tuple[bool, bool, bool] = (False, False, False),
+    warm_start: bool = False,
     failures: str | None = None,
 ) -> KStarSearchResult:
     ckpt: Checkpoint | None = None
@@ -335,7 +333,7 @@ def _kstar_search_impl(
             Trial(
                 _solve_rung,
                 (make_explorer, k, objective, cache, budget, retry,
-                 presolve, accel, failures),
+                 presolve, warm_start, failures),
                 label=f"kstar:K={k}",
             )
             for k in pending
@@ -379,7 +377,7 @@ def _kstar_search_impl(
                     deadline_hit = True
                     return
                 trial = _solve_rung(make_explorer, k, objective, cache,
-                                    budget, retry, presolve, accel,
+                                    budget, retry, presolve, warm_start,
                                     failures,
                                     previous_architecture=previous)
                 if trial.result.feasible:
@@ -415,11 +413,10 @@ def _solve_rung(
     budget: DeadlineBudget | None = None,
     retry: RetryPolicy | None = None,
     presolve: str = "off",
-    accel: tuple[bool, bool, bool] = (False, False, False),
+    warm_start: bool = False,
     failures: str | None = None,
     previous_architecture=None,
 ) -> KStarTrial:
-    warm_start, lazy_cuts, portfolio = accel
     with span("kstar.rung", k=k) as rung_span:
         explorer = make_explorer(k)
         if cache is not None and getattr(explorer, "cache", None) is None:
@@ -432,13 +429,7 @@ def _solve_rung(
             explorer.failures = failures
         if warm_start and not getattr(explorer, "warm_start", False):
             explorer.warm_start = True
-        if lazy_cuts and not getattr(explorer, "lazy_cuts", False):
-            explorer.lazy_cuts = True
-        if portfolio and not getattr(explorer, "portfolio", False):
-            explorer.portfolio = True
-        if previous_architecture is not None and (
-            warm_start or portfolio
-        ):
+        if previous_architecture is not None and warm_start:
             explorer.warm_start_architecture = previous_architecture
         if budget is not None or retry is not None:
             explorer.solver = _resilient(explorer.solver, budget, retry)

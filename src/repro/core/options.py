@@ -30,9 +30,6 @@ from typing import Any
 
 from repro.resilience.policy import DeadlineBudget, RetryPolicy
 
-#: Bump when the serialized options layout changes incompatibly.
-OPTIONS_SCHEMA_VERSION = 1
-
 #: The deprecated per-function keywords :func:`resolve_options` accepts.
 LEGACY_OPTION_KEYS = (
     "deadline_s",
@@ -81,13 +78,6 @@ class SolveOptions:
     #: feasible topology (:mod:`repro.accel`); in the kstar ladder each
     #: rung additionally reuses the previous rung's incumbent.
     warm_start: bool = False
-    #: Solve through the lazy-constraint loop: link-quality rows are
-    #: deferred, violated ones separated and re-added round by round.
-    lazy_cuts: bool = False
-    #: Race the anytime tabu synthesizer against the exact solve and
-    #: take the first acceptable incumbent (the exact result still wins
-    #: when it finishes in time).
-    portfolio: bool = False
     #: Incremental re-solve mode (:mod:`repro.scenarios`): the caller is
     #: re-solving a small edit of a previously solved problem, so the
     #: entry points seed the shared cache from the prior compilation and

@@ -222,11 +222,7 @@ def explore_pareto(
 
     original_solver = explorer.solver
     original_presolve = getattr(explorer, "presolve", "off")
-    original_accel = (
-        getattr(explorer, "warm_start", False),
-        getattr(explorer, "lazy_cuts", False),
-        getattr(explorer, "portfolio", False),
-    )
+    original_warm_start = getattr(explorer, "warm_start", False)
     original_failures = getattr(explorer, "failures", None)
     original_seed = getattr(explorer, "warm_start_architecture", None)
     if budget is not None or retry is not None:
@@ -239,10 +235,6 @@ def explore_pareto(
         # additionally chain each point's architecture into the next
         # solve's MILP warm start.
         explorer.warm_start = True
-    if opts.lazy_cuts:
-        explorer.lazy_cuts = True
-    if opts.portfolio:
-        explorer.portfolio = True
     if opts.failures is not None and original_failures is None:
         # Every front point solves failure-aware; the explorer's own
         # floorplan attribute feeds the geometric families.
@@ -266,8 +258,7 @@ def explore_pareto(
     finally:
         explorer.solver = original_solver
         explorer.presolve = original_presolve
-        (explorer.warm_start, explorer.lazy_cuts,
-         explorer.portfolio) = original_accel
+        explorer.warm_start = original_warm_start
         explorer.failures = original_failures
         explorer.warm_start_architecture = original_seed
 

@@ -40,9 +40,8 @@ class SelectionBlock:
 
     Only the approximate encoder fills these (the full encoding has no
     enumerated pool to select from).  They are the structural handle the
-    acceleration layer needs: the greedy primal heuristic picks pool
-    members directly, and the tabu synthesizer's "reroute" move swaps a
-    route for another pool candidate.
+    greedy primal heuristic (:mod:`repro.accel.warmstart`) needs: it
+    picks pool members directly.
     """
 
     req: RouteRequirement

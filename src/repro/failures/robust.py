@@ -239,7 +239,7 @@ def robust_solve(
                     built.presolve = run_presolve(
                         built.model, mode=built.presolve.report.mode
                     )
-                if explorer.warm_start or explorer.portfolio:
+                if explorer.warm_start:
                     # Chain the previous round's design into the next
                     # round's greedy seed (the PR 8 ladder idiom).
                     explorer.warm_start_architecture = architecture

@@ -19,25 +19,14 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.milp.model import Model, StandardForm
 from repro.milp.solution import Solution, SolveStatus
-from repro.milp.validate import check_assignment, coerce_start
+from repro.milp.validate import (
+    check_assignment,
+    coerce_start,
+    warm_start_incumbent,
+)
 from repro.resilience.faults import fires, maybe_fire
 from repro.telemetry.trace import span
 
-
-def _highspy() -> Any | None:
-    """The native ``highspy`` bindings, or ``None`` when not installed.
-
-    scipy's ``milp`` wrapper exposes no way to inject a starting
-    incumbent, so warm starts need the native API (``Highs.setSolution``)
-    to seed one directly; without it the fallback exploits the start as
-    an objective-cutoff row.  The import is probed per call — cheap next
-    to a MILP solve — so tests can monkeypatch it.
-    """
-    try:
-        import highspy  # type: ignore[import-not-found,import-untyped]
-    except ImportError:
-        return None
-    return highspy
 
 #: Map from scipy.optimize.milp status codes to our statuses when no
 #: assignment is attached.
@@ -86,7 +75,8 @@ class HighsSolver:
     time_limit:
         Wall-clock limit in seconds (``None`` = unlimited).  When HiGHS
         stops at the limit with an incumbent, the solution is returned
-        with status :attr:`SolveStatus.FEASIBLE`.
+        with status :attr:`SolveStatus.FEASIBLE`; when it stops without
+        one, a validated warm start is returned the same way.
     mip_rel_gap:
         Relative optimality gap at which the search may stop.
     """
@@ -147,10 +137,6 @@ class HighsSolver:
         warm_payload = model.hints.get("warm_start")
         if warm_payload is not None:
             warm_info, warm_x = self._screen_warm_start(form, warm_payload)
-            if warm_x is not None:
-                native = self._solve_native(form, model, warm_x, warm_info)
-                if native is not None:
-                    return native
 
         options: dict[str, float] = {"mip_rel_gap": self.mip_rel_gap}
         if self.time_limit is not None:
@@ -207,6 +193,14 @@ class HighsSolver:
                 extra=extra,
             )
         status = _STATUS_NO_X.get(result.status, SolveStatus.ERROR)
+        if status is SolveStatus.TIMEOUT and warm_x is not None:
+            # The limit stopped HiGHS before an incumbent of its own, so
+            # the start validated above is the best design known.
+            fallback = warm_start_incumbent(model, str(result.message))
+            if fallback is not None:
+                fallback.solve_time = elapsed
+                fallback.extra.update(extra)
+                return fallback
         return Solution(
             status=status, solve_time=elapsed, message=str(result.message),
             extra=extra,
@@ -218,12 +212,10 @@ class HighsSolver:
         """Validate a warm-start hint; (structured verdict, usable x).
 
         The verdict lands on ``Solution.extra["warm_start"]`` whatever
-        happens.  A valid start is consumed through one of two
-        mechanisms, recorded on the verdict: ``native_set_solution``
-        (``highspy`` installed, the start seeds the incumbent directly)
-        or ``objective_cutoff`` (scipy fallback — ``milp`` cannot accept
-        a start, so the start's objective value becomes a primal-bound
-        cutoff row instead).
+        happens.  ``milp`` cannot accept a start, so a valid one is
+        consumed as an ``objective_cutoff`` row (recorded on the
+        verdict's ``mechanism``) and, when the time limit leaves HiGHS
+        without an incumbent, returned as the solution itself.
         """
         source = (
             str(payload.get("source", "hint"))
@@ -254,100 +246,6 @@ class HighsSolver:
             "status": "accepted",
             "source": source,
             "objective": check.objective,
-            "mechanism": (
-                "native_set_solution" if _highspy() is not None
-                else "objective_cutoff"
-            ),
+            "mechanism": "objective_cutoff",
         }
         return info, x
-
-    def _solve_native(
-        self,
-        form: StandardForm,
-        model: Model,
-        warm_x: npt.NDArray[np.float64],
-        warm_info: dict[str, Any],
-    ) -> Solution | None:
-        """Solve through native ``highspy`` so ``setSolution`` can seed
-        the incumbent.  Returns ``None`` (caller falls back to scipy,
-        which exploits the start as an objective cutoff) when highspy is
-        absent or the native path fails for any reason — the solve
-        itself always still happens.
-        """
-        highspy = _highspy()
-        if highspy is None:
-            return None
-        start = time.perf_counter()
-        try:
-            h = highspy.Highs()
-            h.setOptionValue("output_flag", False)
-            h.setOptionValue("mip_rel_gap", float(self.mip_rel_gap))
-            if self.time_limit is not None:
-                h.setOptionValue("time_limit", float(self.time_limit))
-            lp = highspy.HighsLp()
-            n = int(form.c.shape[0])
-            m = int(form.a_matrix.shape[0])
-            lp.num_col_ = n
-            lp.num_row_ = m
-            lp.col_cost_ = list(map(float, form.c))
-            lp.col_lower_ = list(map(float, form.x_lower))
-            lp.col_upper_ = list(map(float, form.x_upper))
-            lp.row_lower_ = list(map(float, form.b_lower))
-            lp.row_upper_ = list(map(float, form.b_upper))
-            a = form.a_matrix.tocsc()
-            lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-            lp.a_matrix_.start_ = list(map(int, a.indptr))
-            lp.a_matrix_.index_ = list(map(int, a.indices))
-            lp.a_matrix_.value_ = list(map(float, a.data))
-            lp.integrality_ = [
-                highspy.HighsVarType.kInteger if flag
-                else highspy.HighsVarType.kContinuous
-                for flag in form.integrality
-            ]
-            h.passModel(lp)
-            sol = highspy.HighsSolution()
-            sol.col_value = list(map(float, warm_x))
-            h.setSolution(sol)
-            h.run()
-            elapsed = time.perf_counter() - start
-            status_name = str(h.getModelStatus())
-            info = h.getInfo()
-            solution = h.getSolution()
-            has_x = bool(getattr(info, "primal_solution_status", 0))
-            if "Optimal" in status_name:
-                status = SolveStatus.OPTIMAL
-            elif "Infeasible" in status_name:
-                status = SolveStatus.INFEASIBLE
-            elif "Unbounded" in status_name:
-                status = SolveStatus.UNBOUNDED
-            elif has_x:
-                status = SolveStatus.FEASIBLE
-            else:
-                status = SolveStatus.TIMEOUT
-            extra: dict[str, Any] = {"warm_start": dict(warm_info)}
-            if status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
-                x = np.asarray(solution.col_value, dtype=float)
-                return Solution(
-                    status=status,
-                    objective=float(form.c @ x) + model.objective.constant,
-                    x=x,
-                    solve_time=elapsed,
-                    mip_gap=normalized_gap(
-                        getattr(info, "mip_gap", None), status
-                    ),
-                    node_count=normalized_node_count(
-                        getattr(info, "mip_node_count", None)
-                    ),
-                    message=f"highspy: {status_name}",
-                    extra=extra,
-                )
-            return Solution(
-                status=status,
-                solve_time=elapsed,
-                message=f"highspy: {status_name}",
-                extra=extra,
-            )
-        except Exception as exc:  # pragma: no cover - needs highspy
-            warm_info["status"] = "error"
-            warm_info["reason"] = f"native highspy path failed: {exc!r}"
-            return None

@@ -240,9 +240,9 @@ class Model:
         The copy shares this model's variable handles (immutable, same
         index space) and objective, and starts from a snapshot of its
         hints; its constraint list holds only the rows ``defer`` did
-        *not* select.  The deferred rows are returned so a lazy-cut loop
-        can separate violated ones and :meth:`add` them back — their
-        variable indices stay valid in the copy.
+        *not* select.  The deferred rows are returned so a caller can
+        check them against a solution of the copy or :meth:`add` them
+        back — their variable indices stay valid in the copy.
         """
         clone = Model(f"{self.name}:relaxed")
         clone._vars = list(self._vars)

@@ -5,6 +5,8 @@ the producer (greedy heuristic, previous solve, presolve forward-map)
 may be wrong, stale, or in the wrong variable space.  Both backends run
 the candidate through :func:`check_assignment` before adopting it as an
 incumbent, so a bad hint can cost a warm start but never correctness.
+:func:`warm_start_incumbent` is the last resort of a solve that ends
+without an incumbent of its own: the start, re-checked, as the answer.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from repro.milp.model import StandardForm
+from repro.milp.model import Model, StandardForm
+from repro.milp.solution import Solution, SolveStatus
 
 #: Absolute feasibility slack for bounds/rows and integrality checks.
 #: Looser than the solvers' own tolerances on purpose: heuristic starts
@@ -121,4 +124,34 @@ def check_assignment(
 
     return AssignmentCheck(
         ok=True, reason="", max_violation=worst, objective=objective,
+    )
+
+
+def warm_start_incumbent(model: Model, message: str) -> Solution | None:
+    """The model's warm-start hint as a ``FEASIBLE`` solution with no
+    proven bound, when one exists and still checks out against the model
+    (a stale or malformed hint gives ``None``, never a wrong answer).
+
+    ``message`` says why the solve fell back on it.
+    """
+    payload = model.hints.get("warm_start")
+    if payload is None:
+        return None
+    form = model.to_standard_form()
+    x = coerce_start(payload, int(form.c.shape[0]))
+    if x is None:
+        return None
+    check = check_assignment(form, x)
+    if not check.ok:
+        return None
+    return Solution(
+        status=SolveStatus.FEASIBLE,
+        objective=check.objective + model.objective.constant,
+        x=x,
+        mip_gap=float("inf"),
+        message=(
+            f"{message}; degraded to the "
+            f"{payload.get('source', 'hint')!s} warm-start incumbent"
+        ),
+        extra={"degraded_to_warm_start": True},
     )

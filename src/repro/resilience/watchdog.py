@@ -35,6 +35,7 @@ from typing import Any
 
 from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStatus
+from repro.milp.validate import warm_start_incumbent
 from repro.resilience.policy import (
     Clock,
     DeadlineBudget,
@@ -368,7 +369,7 @@ class ResilientSolver:
         # incumbent (Model.hints["warm_start"]) is a usable design, so a
         # chain that found nothing better returns it FEASIBLE/degraded
         # instead of a status-only failure.
-        degraded = self._warm_start_incumbent(model, message)
+        degraded = warm_start_incumbent(model, message)
         if degraded is not None:
             if attempts:
                 attempts[-1].degraded = True
@@ -376,36 +377,6 @@ class ResilientSolver:
         status = SolveStatus.TIMEOUT if deadline else SolveStatus.ERROR
         return self._finish(
             Solution(status=status, message=message), attempts
-        )
-
-    @staticmethod
-    def _warm_start_incumbent(model: Model, message: str) -> Solution | None:
-        """The model's warm-start hint as a degraded ``FEASIBLE``
-        solution, when one exists and still checks out against the model
-        (a stale or malformed hint degrades to ``None``, never to a
-        wrong answer)."""
-        payload = model.hints.get("warm_start")
-        if payload is None:
-            return None
-        from repro.milp.validate import check_assignment, coerce_start
-
-        form = model.to_standard_form()
-        x = coerce_start(payload, len(form.c))
-        if x is None:
-            return None
-        check = check_assignment(form, x)
-        if not check.ok:
-            return None
-        return Solution(
-            status=SolveStatus.FEASIBLE,
-            objective=check.objective + model.objective.constant,
-            x=x,
-            mip_gap=float("inf"),
-            message=(
-                f"{message}; degraded to the "
-                f"{payload.get('source', 'hint')!s} warm-start incumbent"
-            ),
-            extra={"degraded_to_warm_start": True},
         )
 
 

@@ -173,37 +173,34 @@ class TestBranchAndBoundWarmStart:
         assert sol.status is SolveStatus.OPTIMAL
 
 
-class TestHighsWarmStart:
-    def _model(self):
-        m = Model()
-        x = m.binary("x")
-        y = m.binary("y")
-        m.add(x + y >= 1, "cover")
-        m.minimize(x + 2 * y)
-        return m
+def _cover_model():
+    m = Model()
+    x = m.binary("x")
+    y = m.binary("y")
+    m.add(x + y >= 1, "cover")
+    m.minimize(x + 2 * y)
+    return m
 
+
+class TestHighsWarmStart:
     def test_valid_start_surfaces_acceptance_state(self):
-        # A validated start is always consumed through one of the two
-        # mechanisms — highspy's setSolution when installed, otherwise
-        # an objective-cutoff row on the scipy path — and the verdict
-        # says which; it never silently vanishes.
-        m = self._model()
+        # A validated start is consumed as an objective-cutoff row and
+        # the verdict says so; it never silently vanishes.
+        m = _cover_model()
         m.hints["warm_start"] = {
             "x": np.array([1.0, 0.0]), "objective": 1.0, "source": "greedy",
         }
         sol = HighsSolver().solve(m)
         info = sol.extra["warm_start"]
         assert info["status"] == "accepted"
-        assert info["mechanism"] in (
-            "native_set_solution", "objective_cutoff"
-        )
+        assert info["mechanism"] == "objective_cutoff"
         assert info["source"] == "greedy"
         assert sol.objective == pytest.approx(1.0)
 
     def test_cutoff_at_the_exact_optimum_is_not_cut_away(self):
         # The tightest possible start — the optimum itself — must not
         # make the cutoff row infeasible through floating-point slack.
-        m = self._model()
+        m = _cover_model()
         m.hints["warm_start"] = {
             "x": np.array([1.0, 0.0]), "objective": 1.0, "source": "exact",
         }
@@ -212,7 +209,7 @@ class TestHighsWarmStart:
         assert sol.objective == pytest.approx(1.0)
 
     def test_infeasible_start_is_rejected(self):
-        m = self._model()
+        m = _cover_model()
         m.hints["warm_start"] = {
             "x": np.zeros(2), "objective": 0.0, "source": "bogus",
         }
@@ -223,10 +220,29 @@ class TestHighsWarmStart:
         assert sol.objective == pytest.approx(1.0)
 
     def test_malformed_start_is_rejected(self):
-        m = self._model()
+        m = _cover_model()
         m.hints["warm_start"] = {"objective": 1.0}  # no assignment at all
         sol = HighsSolver().solve(m)
         assert sol.extra["warm_start"]["status"] == "rejected"
+
+
+class TestStartAtTheLimit:
+    @pytest.mark.parametrize(
+        "backend", [HighsSolver, BranchAndBoundSolver], ids=["highs", "bnb"]
+    )
+    def test_limit_without_incumbent_returns_the_start(self, backend):
+        # A limit that stops the search before an incumbent of its own
+        # still leaves the start the backend validated: a usable design.
+        m = _cover_model()
+        m.hints["warm_start"] = {
+            "x": np.array([0.0, 1.0]), "objective": 2.0, "source": "greedy",
+        }
+        sol = backend(time_limit=0.0).solve(m)
+        assert sol.status is SolveStatus.FEASIBLE
+        assert sol.objective == pytest.approx(2.0)
+        np.testing.assert_array_equal(sol.x, [0.0, 1.0])
+        assert sol.mip_gap > 0
+        assert sol.extra["warm_start"]["status"] == "accepted"
 
 
 class TestExplorerIntegration:

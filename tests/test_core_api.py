@@ -65,6 +65,10 @@ class TestJobRequestWire:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown job request field"):
             JobRequest.from_dict({"kind": "kstar", "priority": 3})
+        with pytest.raises(ValueError, match="unknown option field"):
+            JobRequest.from_dict(
+                {"kind": "kstar", "options": {"portfolio": True}}
+            )
 
 
 class TestJobRequestRun:

@@ -22,17 +22,12 @@ class TestSolveOptions:
         assert opts.cache is True
         assert opts.resume is False
         assert opts.warm_start is False
-        assert opts.lazy_cuts is False
-        assert opts.portfolio is False
         assert opts == DEFAULT_OPTIONS
 
     def test_accel_flags_round_trip(self):
-        opts = SolveOptions(warm_start=True, lazy_cuts=True, portfolio=True)
+        opts = SolveOptions(warm_start=True)
         assert SolveOptions.from_dict(opts.to_dict()) == opts
-        payload = opts.to_dict()
-        assert payload["warm_start"] is True
-        assert payload["lazy_cuts"] is True
-        assert payload["portfolio"] is True
+        assert opts.to_dict()["warm_start"] is True
 
     def test_incremental_flag_round_trips(self):
         assert SolveOptions().incremental is False
@@ -66,6 +61,10 @@ class TestSolveOptions:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown option"):
             SolveOptions.from_dict({"deadline_s": 1.0, "bogus": True})
+        # A field the layout no longer has is unknown too: refused, not
+        # silently dropped, even at its old default.
+        with pytest.raises(ValueError, match="unknown option"):
+            SolveOptions.from_dict({"lazy_cuts": False})
 
     def test_derived_runtime_objects(self):
         opts = SolveOptions(deadline_s=5.0, max_retries=3)

@@ -5,9 +5,7 @@ import pytest
 import repro
 from repro.core.explorer import (
     AnchorPlacementExplorer,
-    ArchitectureExplorer,
     DataCollectionExplorer,
-    LocalizationExplorer,
 )
 from repro.core.facade import build_explorer
 from repro.library import default_catalog, localization_catalog
@@ -157,29 +155,6 @@ class TestKeywordOnlyConstructors:
                 instance.template, localization_catalog(), requirement,
                 instance.channel, 10,
             )
-
-
-class TestDeprecatedShims:
-    def test_architecture_explorer_warns_and_solves(self, data_problem):
-        instance, reqs = data_problem
-        with pytest.warns(DeprecationWarning, match="ArchitectureExplorer"):
-            explorer = ArchitectureExplorer(
-                instance.template, default_catalog(), reqs
-            )
-        result = explorer.solve("cost")
-        assert result.feasible
-
-    def test_localization_explorer_warns_and_accepts_positional(
-        self, loc_problem
-    ):
-        instance, requirement = loc_problem
-        with pytest.warns(DeprecationWarning, match="LocalizationExplorer"):
-            explorer = LocalizationExplorer(
-                instance.template, localization_catalog(), requirement,
-                instance.channel, 10,
-            )
-        assert explorer.k_star == 10
-        assert isinstance(explorer, AnchorPlacementExplorer)
 
 
 class TestDeadlineGraceful:

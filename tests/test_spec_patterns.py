@@ -1,9 +1,15 @@
 """Tests for compiling pattern statements against a template."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.spec import SpecError, compile_spec
 from repro.spec.patterns import resolve_group, resolve_node
+
+PATTERN_DOC = Path(__file__).resolve().parents[1] / "docs" / "pattern_language.md"
 
 
 class TestResolution:
@@ -152,3 +158,21 @@ class TestCompile:
         compiled = compile_spec(spec, grid_instance.template)
         assert compiled.path_names["a"] == compiled.path_names["b"]
         assert compiled.path_names["c"] != compiled.path_names["a"]
+
+
+class TestDocumentedExample:
+    def test_compile_and_solve_snippet_runs(self, grid_instance):
+        # docs/pattern_language.md's Section 4.1 spec and its "Compile
+        # and solve" snippet, run as written on the small grid.
+        section = PATTERN_DOC.read_text().split(
+            "## Example (the paper's Section 4.1 problem)"
+        )[1]
+        spec_text = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+        snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        scope = {"spec_text": spec_text, "template": grid_instance.template}
+        exec(snippet, scope)
+        result = scope["result"]
+        assert result.status is repro.SolveStatus.OPTIMAL
+        assert repro.validate(
+            result.architecture, scope["compiled"].requirements
+        ).ok

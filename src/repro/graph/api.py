@@ -15,8 +15,11 @@ environment variable, then ``"auto"``.
 
 Both backends satisfy the same contract and, for graphs with distinct
 path costs, return identical results (cross-checked in
-``tests/test_graph_kernels.py``); under cost ties they may order
-equal-cost paths differently.
+``tests/test_graph_kernels.py``).  Under cost ties they may pick and
+order equal-cost paths differently: the reference keeps the predecessor
+its push order relaxes first, while the CSR kernels keep the one with
+the smallest ``(dist, index)`` across a positive-weight edge, whatever
+order their A* search settles nodes in (see :mod:`repro.graph.kernels`).
 """
 
 from __future__ import annotations

@@ -103,7 +103,7 @@ def shortest_path_tree(graph: DiGraph, source: Node) -> dict[Node, float]:
     the target is finalized and does strictly less work.
 
     The CSR kernel's equivalent (:func:`repro.graph.kernels.CSRGraph`
-    Dijkstra) keeps ``dist``/``prev``/``visited`` as flat arrays, which a
+    Dijkstra) keeps ``dist``/``prev`` as flat arrays, which a
     repeated caller (Yen's spur loop) reuses without re-hashing nodes; this
     dict-based reference rebuilds its containers per call by design, to
     stay obviously correct.

@@ -1,4 +1,4 @@
-"""Array-backed graph kernels: CSR compilation, Dijkstra, Lawler-Yen.
+"""Array-backed graph kernels: CSR compilation, A* Dijkstra, Lawler-Yen.
 
 The dict-of-dicts :class:`~repro.graph.digraph.DiGraph` is the right
 structure for *building* templates (arbitrary hashable nodes, cheap edge
@@ -9,9 +9,13 @@ DiGraph into a compressed-sparse-row (CSR) view — an int-interning table
 plus flat numpy ``indptr``/``indices``/``weights`` arrays — and runs the
 two kernels Algorithm 1 needs directly on it:
 
-* **Dijkstra** with flat ``dist``/``prev``/``visited`` arrays, integer
-  heap entries, vectorized per-row relaxation, and banned nodes/edges
-  expressed as boolean masks (no graph copies, no per-edge set lookups).
+* **Dijkstra** with flat ``dist``/``prev`` arrays, integer heap entries,
+  vectorized per-row relaxation, and banned nodes/edges expressed as
+  boolean masks (no graph copies, no per-edge set lookups).  The heap is
+  keyed on ``g + h`` for node potentials ``h``: zeros for a single query
+  (plain Dijkstra), and for Yen's searches the target's A* potentials
+  (:meth:`CSRGraph.potentials`), so a spur search settles little more
+  than the nodes near its shortest path.
 * **Yen's K-shortest paths with Lawler's optimization**: spurs start at
   the previous path's own spur index (earlier prefixes were exhausted when
   its parent was processed), root-path prefix costs are carried
@@ -22,14 +26,26 @@ two kernels Algorithm 1 needs directly on it:
 The compiled view is cached on the DiGraph keyed by its structural
 version, which edge *masking* does not bump — so Algorithm 1's
 disconnect-and-rerun rounds, and the runtime's copy-then-mask trial
-pattern, reuse a single compilation.  Masked edges are folded into each
-query's banned-edge mask instead.
+pattern, reuse a single compilation and its potentials.  Masked edges are
+folded into each query's banned-edge mask instead.
+
+Tie contract: when several predecessors ``u`` reach a node ``v`` at the
+same cost across positive-weight edges (``dist[u] < dist[v]``),
+``prev[v]`` is the one with the smallest ``(dist[u], u)``.  That is the
+predecessor plain Dijkstra's ``(dist, index)`` pop order relaxes first,
+and the rule makes it independent of the settle order: on graphs without
+zero-weight edges the potentials change how much of the graph a search
+settles, never which path it returns.  Across a zero-weight edge the
+first relaxation keeps ``prev`` (the rule could close a ``prev`` cycle
+there), so with zero-weight edges a tie can still resolve by settle
+order.
 
 Behavioral contract: given distinct path costs, these kernels return
 exactly what the reference implementations in :mod:`repro.graph.dijkstra`
 and :mod:`repro.graph.yen` return (the property suite in
 ``tests/test_graph_kernels.py`` cross-checks this, bans and all); under
-cost ties the choice among equal-cost paths may differ.
+cost ties the choice among equal-cost paths follows the tie contract
+above and may differ from the reference's.
 """
 
 from __future__ import annotations
@@ -39,12 +55,20 @@ import itertools
 from collections.abc import Hashable, Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.graph.digraph import DiGraph
 from repro.graph.dijkstra import NoPathError
 
 Node = Hashable
 Edge = tuple[Node, Node]
+
+#: Relative amount shaved off every A* potential.  A potential is a sum of
+#: edge weights rounded in a different order than any search's ``g``, so
+#: unshaved it could exceed a path's float cost by a few ulps; the shave
+#: keeps ``g + h`` at or below every path's cost.
+POTENTIAL_SHAVE = 1e-12
 
 
 class CSRGraph:
@@ -63,7 +87,7 @@ class CSRGraph:
 
     __slots__ = (
         "nodes", "index", "indptr", "indptr_list", "indices", "weights",
-        "edge_slot",
+        "edge_slot", "_potentials",
     )
 
     def __init__(
@@ -84,31 +108,38 @@ class CSRGraph:
         self.indices = indices
         self.weights = weights
         self.edge_slot = edge_slot
+        #: Target index -> A* potentials, filled by :meth:`potentials`.
+        self._potentials: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_digraph(cls, graph: DiGraph) -> CSRGraph:
-        """Compile ``graph`` into CSR form (nodes in insertion order)."""
+        """Compile ``graph`` into CSR form (nodes in insertion order).
+
+        One pass over the adjacency dicts (read directly: this module is
+        the graph's compiler).  Each node's out-edges are contiguous and
+        rows follow node insertion order, so row ``i`` holds node ``i``'s
+        out-edges in their insertion order and ``indptr`` is the running
+        sum of out-degrees.
+        """
         nodes = list(graph.nodes())
         index = {node: i for i, node in enumerate(nodes)}
-        n = len(nodes)
-        m = graph.edge_count
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for u, _v, _w in graph.edges():
-            counts[index[u] + 1] += 1
-        indptr = np.cumsum(counts)
-        indices = np.empty(m, dtype=np.int64)
-        weights = np.empty(m, dtype=np.float64)
-        edge_slot: dict[tuple[int, int], int] = {}
-        fill = indptr[:-1].copy()
-        for u, v, w in graph.edges():
-            ui = index[u]
-            vi = index[v]
-            slot = int(fill[ui])
-            fill[ui] += 1
-            indices[slot] = vi
-            weights[slot] = w
-            edge_slot[(ui, vi)] = slot
-        return cls(nodes, index, indptr, indices, weights, edge_slot)
+        rows = graph._succ.values()
+        degrees = [len(nbrs) for nbrs in rows]
+        targets: list[int] = []
+        weights: list[float] = []
+        for nbrs in rows:
+            targets.extend(map(index.__getitem__, nbrs))
+            weights.extend(nbrs.values())
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        sources = np.repeat(np.arange(len(nodes)), degrees).tolist()
+        edge_slot = dict(zip(zip(sources, targets), itertools.count()))
+        return cls(
+            nodes, index, indptr,
+            np.array(targets, dtype=np.int64),
+            np.array(weights, dtype=np.float64),
+            edge_slot,
+        )
 
     @property
     def node_count(self) -> int:
@@ -164,13 +195,35 @@ class CSRGraph:
         nodes = self.nodes
         return [nodes[i] for i in idx_path]
 
+    def potentials(self, target: int) -> np.ndarray:
+        """A* potentials toward node index ``target`` (cached per target).
+
+        One reverse Dijkstra from ``target`` over every edge slot, masked
+        ones included, shaved by a relative :data:`POTENTIAL_SHAVE`.
+        Masks and Yen's bans only remove edges, so these distances bound
+        every query on this view from below.  ``inf`` marks a node that
+        cannot reach ``target`` at all.  scipy's csgraph keeps explicit
+        zero weights as edges, so zero-weight edges count too.
+        """
+        h = self._potentials.get(target)
+        if h is None:
+            n = self.node_count
+            forward = csr_matrix(
+                (self.weights, self.indices, self.indptr), shape=(n, n)
+            )
+            h = _csgraph_dijkstra(forward.T, directed=True, indices=target)
+            h *= 1.0 - POTENTIAL_SHAVE
+            self._potentials[target] = h
+        return h
+
 
 def csr_of(graph: DiGraph) -> CSRGraph:
     """The compiled CSR view of ``graph``, cached on its structural version.
 
     Mask/unmask operations do not invalidate the cache (they do not bump
-    the structural version); adding/removing edges or nodes does.
-    ``DiGraph.copy`` shares the cache with the original.
+    the structural version); adding/removing edges or nodes and weight
+    changes do.  ``DiGraph.copy`` shares the cache with the original, and
+    with it the view's A* potentials.
     """
     cached = graph._csr_cache
     if cached is not None and cached[0] == graph._version:
@@ -186,34 +239,44 @@ def _run_dijkstra(
     dst: int,
     banned_nodes: np.ndarray | None,
     banned_edges: np.ndarray | None,
+    potentials: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array Dijkstra from ``src``; early-exits once ``dst`` is popped.
+    """Array A* from ``src`` to ``dst``; exits once ``dst`` is popped.
 
-    ``dst`` may be ``-1`` for a full single-source run.  Returns
-    ``(dist, prev)`` index-space arrays.
+    ``dst`` may be ``-1`` for a full single-source run.  The heap is
+    keyed on ``g + potentials``: all zeros is plain Dijkstra, and
+    :meth:`CSRGraph.potentials` of ``dst`` is admissible under every mask
+    and ban.  Returns ``(dist, prev)`` index-space arrays.
 
     Two classic Dijkstra structures are deliberately absent:
 
     * No decrease-key — superseded heap entries are pruned lazily on pop
-      via ``d > dist[u]`` (a node's pushes carry strictly decreasing
+      via ``g > dist[u]`` (a node's pushes carry strictly decreasing
       distances, so only its best entry survives the guard).
-    * No visited array — with non-negative weights a finalized node can
-      never be re-relaxed (``nd >= d >= dist[v]`` fails the strict
-      improvement test), so the relaxation needs no membership check.
-      Banned nodes get ``dist = -inf`` up front: nothing beats ``-inf``,
-      so they are never relaxed into and never pushed.
+    * No visited array — with non-negative weights an expanded node's
+      ``dist`` is final (up to float rounding in the potentials), so the
+      strict improvement test ``nd < dist[v]`` never re-relaxes it; if
+      rounding ever lets it improve, it is pushed and expanded again.
+      Banned nodes, and nodes with an infinite potential (they cannot
+      reach ``dst``), get ``dist = -inf`` up front: nothing beats
+      ``-inf``, so they are never relaxed into and never pushed.
+
+    Equal-cost relaxations follow the module's tie contract: across a
+    positive-weight edge the predecessor with the smaller ``(dist,
+    index)`` keeps ``prev``, whatever order the potentials settle nodes in.
     """
     n = csr.node_count
     dist = np.full(n, np.inf)
+    dist[np.isinf(potentials)] = -np.inf
     prev = np.full(n, -1, dtype=np.int64)
     if banned_nodes is not None:
         dist[banned_nodes] = -np.inf
     dist[src] = 0.0
     indptr, indices, weights = csr.indptr_list, csr.indices, csr.weights
-    heap: list[tuple[float, int]] = [(0.0, src)]
+    heap: list[tuple[float, float, int]] = [(potentials.item(src), 0.0, src)]
     push, pop = heapq.heappush, heapq.heappop
     while heap:
-        d, u = pop(heap)
+        _key, d, u = pop(heap)
         if d > dist[u]:
             continue  # a stale (superseded) entry
         if u == dst:
@@ -223,7 +286,16 @@ def _run_dijkstra(
             continue
         nbrs = indices[lo:hi]
         nd = d + weights[lo:hi]
-        better = nd < dist[nbrs]
+        cur = dist[nbrs]
+        tied = nd == cur
+        if np.count_nonzero(tied):  # rare on real weights; cheaper than any()
+            if banned_edges is not None:
+                tied &= ~banned_edges[lo:hi]
+            for v in nbrs[tied].tolist():
+                p = prev[v]
+                if d < dist[v] < np.inf and (d, u) < (dist[p], p):
+                    prev[v] = u
+        better = nd < cur
         if banned_edges is not None:
             better &= ~banned_edges[lo:hi]
         vs = nbrs[better]
@@ -232,8 +304,9 @@ def _run_dijkstra(
         nds = nd[better]
         dist[vs] = nds
         prev[vs] = u
-        for v, val in zip(vs.tolist(), nds.tolist()):
-            push(heap, (val, v))
+        keys = nds + potentials[vs]
+        for key, g, v in zip(keys.tolist(), nds.tolist(), vs.tolist()):
+            push(heap, (key, g, v))
     return dist, prev
 
 
@@ -275,7 +348,10 @@ def csr_shortest_path(
         return [source], 0.0
     node_mask = csr.node_mask(banned_nodes)
     edge_mask = csr.edge_mask(graph.masked_edges, banned_edges)
-    dist, prev = _run_dijkstra(csr, src, dst, node_mask, edge_mask)
+    # One query would not amortize a reverse Dijkstra: plain Dijkstra.
+    dist, prev = _run_dijkstra(
+        csr, src, dst, node_mask, edge_mask, np.zeros(csr.node_count)
+    )
     if not np.isfinite(dist[dst]):
         raise NoPathError(f"no path {source!r} -> {target!r}")
     return csr.to_nodes(_walk_back(prev, src, dst)), float(dist[dst])
@@ -288,7 +364,8 @@ def csr_k_shortest_paths(
 
     Same contract as :func:`repro.graph.yen.k_shortest_paths`.  The whole
     search runs in index space; node objects are materialized once at the
-    end.
+    end.  Every search, spurs included, is A* on the target's cached
+    potentials.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -305,7 +382,8 @@ def csr_k_shortest_paths(
     base_mask = csr.edge_mask(graph.masked_edges)
     if src == dst:
         return [([source], 0.0)]
-    dist, prev = _run_dijkstra(csr, src, dst, None, base_mask)
+    potentials = csr.potentials(dst)
+    dist, prev = _run_dijkstra(csr, src, dst, None, base_mask, potentials)
     if not np.isfinite(dist[dst]):
         return []
     first = _walk_back(prev, src, dst)
@@ -339,10 +417,13 @@ def csr_k_shortest_paths(
     while len(accepted) < k:
         prev_path, _prev_cost = accepted[-1]
         start = spur_index[-1]
-        # Incremental prefix costs: prefix_cost == weight(prev_path[:i+1]).
+        # Incremental prefix costs: prefix_cost == weight(prev_path[:i+1]),
+        # summed as Python floats so every returned cost is a float.
         prefix_cost = 0.0
         for j in range(start):
-            prefix_cost += weights[edge_slot[(prev_path[j], prev_path[j + 1])]]
+            prefix_cost += weights.item(
+                edge_slot[(prev_path[j], prev_path[j + 1])]
+            )
         for u in prev_path[:start]:
             node_scratch[u] = True
         for i in range(start, len(prev_path) - 1):
@@ -352,7 +433,7 @@ def csr_k_shortest_paths(
             for slot in banned_slots:
                 edge_scratch[slot] = True
             dist, prev = _run_dijkstra(
-                csr, prev_path[i], dst, node_scratch, edge_scratch
+                csr, prev_path[i], dst, node_scratch, edge_scratch, potentials
             )
             for slot in banned_slots:
                 edge_scratch[slot] = False
@@ -375,7 +456,7 @@ def csr_k_shortest_paths(
                             i,
                         ),
                     )
-            prefix_cost += weights[edge_slot[(prev_path[i], prev_path[i + 1])]]
+            prefix_cost += weights.item(edge_slot[(prev_path[i], prev_path[i + 1])])
         node_scratch[:] = False
         if not candidates:
             break

@@ -2,13 +2,20 @@
 
 The contract under test: on graphs with distinct path costs, the
 array-backed kernels (:mod:`repro.graph.kernels`) return *exactly* the
-same paths and (to float tolerance) the same costs as the pure-Python
-reference implementations.  The property suites below use continuous
-random weights so cost ties are measure-zero and exact path-sequence
-comparison is meaningful.
+same paths and (to float tolerance) the same float costs as the
+pure-Python reference implementations.  The property suites below use
+continuous random weights so cost ties are measure-zero and exact
+path-sequence comparison is meaningful.
+
+Under ties the kernels follow their own tie contract instead, which makes
+the A* potentials invisible in the output: the tie suite holds A* Yen to
+the same kernel run at zero potentials on tie-heavy graphs.
 """
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +30,22 @@ from repro.graph import (
     shortest_path,
 )
 from repro.graph.dijkstra import shortest_path as ref_shortest_path
+from repro.graph.dijkstra import shortest_path_tree
 from repro.graph.kernels import (
+    POTENTIAL_SHAVE,
     CSRGraph,
+    _run_dijkstra,
     csr_k_shortest_paths,
     csr_of,
     csr_shortest_path,
 )
 from repro.graph.yen import k_shortest_paths as ref_k_shortest_paths
+
+TOOL = Path(__file__).parent.parent / "tools" / "check_pool_differential.py"
+spec = importlib.util.spec_from_file_location("check_pool_differential", TOOL)
+check_pool_differential = importlib.util.module_from_spec(spec)
+sys.modules["check_pool_differential"] = check_pool_differential
+spec.loader.exec_module(check_pool_differential)
 
 
 def diamond():
@@ -273,6 +289,7 @@ class TestDijkstraParity:
             got = csr_shortest_path(g, 0, target)
             assert got[0] == ref[0]
             assert got[1] == pytest.approx(ref[1], abs=1e-9)
+            assert type(got[1]) is float
 
     @pytest.mark.parametrize("seed", range(40))
     def test_banned_and_masked_queries_agree(self, seed):
@@ -299,6 +316,7 @@ class TestDijkstraParity:
         )
         assert got[0] == ref[0]
         assert got[1] == pytest.approx(ref[1], abs=1e-9)
+        assert type(got[1]) is float
 
 
 class TestYenParity:
@@ -314,6 +332,7 @@ class TestYenParity:
         assert [c for _, c in got] == pytest.approx(
             [c for _, c in ref], abs=1e-9
         )
+        assert all(type(c) is float for _, c in got)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_masked_graphs_agree(self, seed):
@@ -325,6 +344,7 @@ class TestYenParity:
         ref = ref_k_shortest_paths(g, 0, n - 1, 6)
         got = csr_k_shortest_paths(g, 0, n - 1, 6)
         assert [p for p, _ in got] == [p for p, _ in ref]
+        assert all(type(c) is float for _, c in got)
 
     def test_exhausts_like_the_reference(self):
         g = DiGraph()
@@ -335,6 +355,7 @@ class TestYenParity:
         got = csr_k_shortest_paths(g, "s", "t", 50)
         assert [p for p, _ in got] == [p for p, _ in ref]
         assert [c for _, c in got] == pytest.approx([c for _, c in ref])
+        assert all(type(c) is float for _, c in got)
         assert len(got) == 2
 
 
@@ -377,6 +398,7 @@ if HAVE_HYPOTHESIS:
             got = csr_shortest_path(g, 0, n - 1)
             assert got[0] == ref[0]
             assert got[1] == pytest.approx(ref[1], abs=1e-9)
+            assert type(got[1]) is float
 
         @given(weighted_digraphs(), st.integers(min_value=1, max_value=8))
         @settings(max_examples=40, deadline=None)
@@ -388,6 +410,7 @@ if HAVE_HYPOTHESIS:
             assert [c for _, c in got] == pytest.approx(
                 [c for _, c in ref], abs=1e-9
             )
+            assert all(type(c) is float for _, c in got)
 
 
 class TestKernelScratchState:
@@ -418,3 +441,281 @@ class TestKernelScratchState:
         forced = k_shortest_paths(g, 0, n - 1, 5, backend="csr")
         assert auto == forced
         assert np.isfinite([c for _, c in auto]).all()
+
+
+def reversed_graph(g: DiGraph) -> DiGraph:
+    """``g`` with every edge turned around (masks ignored)."""
+    r = DiGraph()
+    for node in g.nodes():
+        r.add_node(node)
+    for u, v, w in g.edges():
+        r.add_edge(v, u, w)
+    return r
+
+
+def grid_graph(rows: int, cols: int, weight=lambda rng: 1.0, seed: int = 0):
+    """A bidirectional grid; unit weights unless ``weight`` draws others."""
+    rng = random.Random(seed)
+    g = DiGraph()
+    for r in range(rows):
+        for c in range(cols):
+            g.add_node((r, c))
+    for r in range(rows):
+        for c in range(cols):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < rows and c + dc < cols:
+                    g.add_edge((r, c), (r + dr, c + dc), weight(rng))
+                    g.add_edge((r + dr, c + dc), (r, c), weight(rng))
+    return g
+
+
+def integer_graph(seed: int, choices: tuple[float, ...]) -> tuple[DiGraph, int]:
+    """A random digraph whose weights come from a small set (tie-heavy)."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 14)
+    g = DiGraph()
+    for i in range(n):
+        g.add_node(i)
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < 0.4:
+                g.add_edge(u, v, rng.choice(choices))
+    return g, n
+
+
+def mask_some(g: DiGraph, seed: int, share: float = 0.2) -> None:
+    rng = random.Random(seed)
+    edges = [(u, v) for u, v, _ in g.edges()]
+    for u, v in rng.sample(edges, int(len(edges) * share)):
+        g.mask_edge(u, v)
+
+
+def yen_with_and_without_potentials(monkeypatch, g, source, target, k):
+    """Kernel Yen as shipped, then with every potential zero (Dijkstra)."""
+    astar = csr_k_shortest_paths(g, source, target, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            CSRGraph, "potentials", check_pool_differential.zero_potentials
+        )
+        plain = csr_k_shortest_paths(g, source, target, k)
+    return astar, plain
+
+
+class TestPotentials:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shaved_reverse_distances(self, seed):
+        g, n = random_graph(seed)
+        csr = csr_of(g)
+        h = csr.potentials(csr.index[n - 1])
+        to_target = shortest_path_tree(reversed_graph(g), n - 1)
+        for node, i in csr.index.items():
+            if node not in to_target:
+                assert h[i] == np.inf
+                continue
+            exact = to_target[node]
+            assert h[i] <= exact
+            assert h[i] == pytest.approx(exact * (1 - POTENTIAL_SHAVE), rel=1e-14)
+
+    def test_masked_edges_count_toward_the_bound(self):
+        g = diamond()
+        g.mask_edge("a", "t")
+        csr = csr_of(g)
+        h = csr.potentials(csr.index["t"])
+        assert h[csr.index["a"]] == pytest.approx(1.0)
+
+    def test_zero_weight_chain_keeps_finite_potentials(self):
+        g = DiGraph()
+        for u, v in (("s", "a"), ("a", "b"), ("b", "t")):
+            g.add_edge(u, v, 0.0)
+        csr = csr_of(g)
+        h = csr.potentials(csr.index["t"])
+        assert np.isfinite(h).all() and not h.any()
+        assert csr_k_shortest_paths(g, "s", "t", 3) == [(["s", "a", "b", "t"], 0.0)]
+
+    def test_nodes_that_cannot_reach_the_target_are_pruned(self):
+        g = diamond()
+        g.add_edge("t", "sink-only", 1.0)
+        csr = csr_of(g)
+        assert csr.potentials(csr.index["t"])[csr.index["sink-only"]] == np.inf
+        assert csr_k_shortest_paths(g, "sink-only", "t", 2) == []
+
+
+class TestPotentialsCache:
+    def test_one_array_per_target(self):
+        g = diamond()
+        csr = csr_of(g)
+        t, b = csr.index["t"], csr.index["b"]
+        assert csr.potentials(t) is csr.potentials(t)
+        assert csr.potentials(b) is not csr.potentials(t)
+
+    def test_reused_across_masks_and_queries(self):
+        g = diamond()
+        csr = csr_of(g)
+        before = csr.potentials(csr.index["t"])
+        g.mask_edge("s", "a")
+        csr_k_shortest_paths(g, "s", "t", 2)
+        g.clear_masks()
+        csr_k_shortest_paths(g, "s", "t", 2)
+        assert csr_of(g).potentials(csr.index["t"]) is before
+
+    def test_copies_share_them(self):
+        g = diamond()
+        csr = csr_of(g)
+        before = csr.potentials(csr.index["t"])
+        h = g.copy()
+        h.mask_edge("a", "t")
+        assert csr_of(h).potentials(csr.index["t"]) is before
+
+    def test_add_edge_recomputes(self):
+        g = diamond()
+        csr = csr_of(g)
+        before = csr.potentials(csr.index["t"])
+        g.add_edge("s", "t", 0.5)
+        after = csr_of(g).potentials(csr.index["t"])
+        assert after is not before
+        assert after[csr.index["s"]] == pytest.approx(0.5)
+        assert csr_k_shortest_paths(g, "s", "t", 1) == [(["s", "t"], 0.5)]
+
+    def test_set_weight_recomputes(self):
+        g = diamond()
+        csr = csr_of(g)
+        before = csr.potentials(csr.index["t"])
+        g.set_weight("a", "t", 9.0)
+        after = csr_of(g).potentials(csr.index["t"])
+        assert after is not before
+        assert after[csr.index["a"]] == pytest.approx(9.0)
+        assert csr_k_shortest_paths(g, "s", "t", 1) == [(["s", "b", "t"], 4.0)]
+
+
+class TestZeroWeightTies:
+    """The tie rule skips zero-weight edges, so ``prev`` stays acyclic."""
+
+    @staticmethod
+    def zero_weight_cycle() -> DiGraph:
+        # "a" and "b" tie at cost 1 through the zero-weight pair a <-> b;
+        # "x" is interned last, so a (dist, index) rule applied across the
+        # zero-weight edges would set prev[a] = b after prev[b] = a.
+        g = DiGraph()
+        for node in ("s", "a", "b", "t", "x"):
+            g.add_node(node)
+        g.add_edge("s", "x", 1.0)
+        g.add_edge("x", "a", 0.0)
+        g.add_edge("a", "b", 0.0)
+        g.add_edge("b", "a", 0.0)
+        g.add_edge("a", "t", 1.0)
+        g.add_edge("b", "t", 1.0)
+        return g
+
+    def test_prev_stays_acyclic(self):
+        g = self.zero_weight_cycle()
+        csr = csr_of(g)
+        s, t = csr.index["s"], csr.index["t"]
+        for potentials in (csr.potentials(t), np.zeros(csr.node_count)):
+            _, prev = _run_dijkstra(csr, s, -1, None, None, potentials)
+            for start in range(csr.node_count):
+                hop = start
+                for _ in range(csr.node_count):
+                    if hop == -1:
+                        break
+                    hop = int(prev[hop])
+                assert hop == -1, f"prev cycle through node {start}"
+
+    def test_both_kernels_return(self, monkeypatch):
+        g = self.zero_weight_cycle()
+        astar, plain = yen_with_and_without_potentials(monkeypatch, g, "s", "t", 4)
+        assert astar == plain
+        assert astar == [
+            (["s", "x", "a", "t"], 2.0), (["s", "x", "a", "b", "t"], 2.0),
+        ]
+        assert csr_shortest_path(g, "s", "t") == (["s", "x", "a", "t"], 2.0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_zero_one_grids(self, monkeypatch, seed):
+        g = grid_graph(4, 4, lambda rng: float(rng.random() < 0.5), seed)
+        astar, plain = yen_with_and_without_potentials(
+            monkeypatch, g, (0, 0), (3, 3), 10
+        )
+        assert astar == plain
+        for path, cost in astar:
+            assert len(set(path)) == len(path)
+            assert cost == g.subgraph_weight(path)
+
+
+class TestTieRule:
+    """A* Yen returns what the same kernel returns at zero potentials."""
+
+    @pytest.mark.parametrize("size", [(3, 3), (4, 5), (6, 6)])
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_unit_weight_grids(self, monkeypatch, size, k):
+        rows, cols = size
+        g = grid_graph(rows, cols)
+        for target in ((rows - 1, cols - 1), (0, cols - 1), (rows // 2, 0)):
+            astar, plain = yen_with_and_without_potentials(
+                monkeypatch, g, (0, 0), target, k
+            )
+            assert astar == plain
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_integer_grids_with_masks(self, monkeypatch, seed):
+        g = grid_graph(5, 5, lambda rng: float(rng.randint(1, 3)), seed)
+        mask_some(g, seed)
+        astar, plain = yen_with_and_without_potentials(
+            monkeypatch, g, (0, 0), (4, 4), 10
+        )
+        assert astar == plain
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("weights", [(1.0, 2.0, 3.0), (0.0, 1.0)])
+    def test_random_tie_heavy_graphs(self, monkeypatch, seed, weights):
+        g, n = integer_graph(seed, weights)
+        if seed % 2:
+            mask_some(g, seed + 500)
+        astar, plain = yen_with_and_without_potentials(
+            monkeypatch, g, 0, n - 1, 8
+        )
+        assert astar == plain
+
+    def test_lowest_predecessor_wins(self, monkeypatch):
+        # Node "b" (index 2) is reached at cost 2 through "a" (index 1)
+        # and "c" (index 3); plain Dijkstra relaxes through "a" first.
+        g = DiGraph()
+        g.add_edge("s", "a", 1.0)
+        g.add_edge("a", "b", 1.0)
+        g.add_edge("s", "c", 1.0)
+        g.add_edge("c", "b", 1.0)
+        g.add_edge("b", "t", 1.0)
+        astar, plain = yen_with_and_without_potentials(monkeypatch, g, "s", "t", 2)
+        assert astar == plain == [
+            (["s", "a", "b", "t"], 3.0), (["s", "c", "b", "t"], 3.0),
+        ]
+
+    def test_loose_potentials_keep_the_choice(self, monkeypatch):
+        # The masked shortcut d -> t still counts toward the potentials,
+        # so A* settles "d" before "a".  Both reach "b" at cost 2, and
+        # "a" keeps prev["b"]: it has the smaller (dist, index).
+        g = DiGraph()
+        for node in ("s", "a", "b", "t", "d"):
+            g.add_node(node)
+        g.add_edge("s", "a", 1.0)
+        g.add_edge("s", "d", 1.0)
+        g.add_edge("a", "b", 1.0)
+        g.add_edge("d", "b", 1.0)
+        g.add_edge("b", "t", 1.0)
+        g.add_edge("d", "t", 0.5)
+        g.mask_edge("d", "t")
+        astar, plain = yen_with_and_without_potentials(monkeypatch, g, "s", "t", 2)
+        assert astar == plain
+        assert astar == [(["s", "a", "b", "t"], 3.0), (["s", "d", "b", "t"], 3.0)]
+        assert astar == ref_k_shortest_paths(g, "s", "t", 2)
+
+
+class TestRegistryPoolDifferential:
+    """Algorithm 1's pools on real problems: A* equals zero potentials."""
+
+    def test_every_fifth_registry_problem(self):
+        scenarios = check_pool_differential.registry_scenarios([0], stride=5)
+        mismatched, problems, queries = check_pool_differential.differential(
+            scenarios
+        )
+        assert mismatched == []
+        assert problems >= 15 and queries >= 150

@@ -38,6 +38,9 @@ class LinkQualityVars:
     #: sources by the energy encodings.
     rss_bounds: dict[Edge, tuple[float, float]] = field(default_factory=dict)
     noise_dbm: float = -100.0
+    #: The RSS every active edge must reach (dBm), the larger of the
+    #: requirement's RSS and SNR floors; ``None`` without a floor.
+    rss_floor: float | None = None
 
     def snr(self, edge: Edge) -> LinExpr:
         """SNR expression of an edge (dB)."""
@@ -47,6 +50,21 @@ class LinkQualityVars:
         """Valid bounds of the SNR expression."""
         lo, hi = self.rss_bounds[edge]
         return (lo - self.noise_dbm, hi - self.noise_dbm)
+
+
+def quality_thresholds(
+    requirement: LinkQualityRequirement | None, template: Template,
+) -> list[tuple[str, float]]:
+    """The (kind, RSS dBm) floors an active edge must reach."""
+    if requirement is None:
+        return []
+    thresholds = []
+    if requirement.min_rss_dbm is not None:
+        thresholds.append(("rss", requirement.min_rss_dbm))
+    min_snr = requirement.effective_min_snr_db(template.link_type.modulation)
+    if min_snr is not None:
+        thresholds.append(("snr", min_snr + template.link_type.noise_dbm))
+    return thresholds
 
 
 def build_link_quality(
@@ -61,8 +79,10 @@ def build_link_quality(
     With ``requirement=None`` only the expressions are built (the energy
     constraints still need them); no quality rows are added.
     """
-    noise = template.link_type.noise_dbm
-    lq = LinkQualityVars(noise_dbm=noise)
+    lq = LinkQualityVars(noise_dbm=template.link_type.noise_dbm)
+    thresholds = quality_thresholds(requirement, template)
+    if thresholds:
+        lq.rss_floor = max(threshold for _, threshold in thresholds)
 
     for (u, v), e_var in encoding.edge_active.items():
         pl = template.path_loss(u, v)
@@ -73,16 +93,6 @@ def build_link_quality(
         lq.rss[(u, v)] = rss
         lq.rss_bounds[(u, v)] = bounds
 
-        if requirement is None:
-            continue
-        thresholds = []
-        if requirement.min_rss_dbm is not None:
-            thresholds.append(("rss", requirement.min_rss_dbm))
-        min_snr = requirement.effective_min_snr_db(
-            template.link_type.modulation
-        )
-        if min_snr is not None:
-            thresholds.append(("snr", min_snr + noise))
         for kind, rss_threshold in thresholds:
             big_m = rss_threshold - bounds[0]
             if big_m <= 0:

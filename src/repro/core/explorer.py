@@ -88,6 +88,19 @@ class BuiltProblem:
     #: ``presolve.postsolve``.
     presolve: PresolveResult | None = None
 
+    def term(self, name: str) -> LinExpr:
+        """The expression of objective term ``name``.
+
+        The energy term's node charges are built on its first request,
+        so only a model that prices or bounds energy carries them.
+        """
+        if (
+            name == "energy" and name not in self.objective_exprs
+            and self.energy is not None
+        ):
+            self.objective_exprs[name] = self.energy.total_charge()
+        return self.objective_exprs[name]
+
 
 class ExplorerBase(abc.ABC):
     """Shared analyze → build → solve → decode pipeline of every explorer.
@@ -369,6 +382,10 @@ class ExplorerBase(abc.ABC):
             name: solution.value(expr)
             for name, expr in built.objective_exprs.items()
         }
+        if built.energy is not None:
+            # The charge at the decoded design, whether or not the model
+            # built (or priced) the node charges.
+            terms["energy"] = built.energy.charge_value(solution)
         return architecture, terms
 
 
@@ -465,7 +482,7 @@ class DataCollectionExplorer(ExplorerBase):
                 list(encoding.edge_active.values())
             ) * self.template.link_type.cost
         objective_exprs: dict[str, LinExpr] = {"cost": cost}
-        if energy is not None:
+        if energy is not None and "energy" in spec.terms:
             objective_exprs["energy"] = energy.total_charge()
         if localization is not None:
             objective_exprs["dsod"] = localization.dsod_expr()

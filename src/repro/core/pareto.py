@@ -435,7 +435,7 @@ def _solve_budget(
         with stats.timings.phase("encode"):
             built = explorer.build(primary, stats=stats)
         built.model.add(
-            built.objective_exprs[secondary] <= budget * (1 + 1e-9),
+            built.term(secondary) <= budget * (1 + 1e-9),
             name=f"pareto:{secondary}_budget",
         )
         if built.presolve is not None:
@@ -485,7 +485,7 @@ def _solve_budget_robust(
         result = robust_solve(
             explorer, primary,
             mutate=lambda built: built.model.add(
-                built.objective_exprs[secondary] <= budget * (1 + 1e-9),
+                built.term(secondary) <= budget * (1 + 1e-9),
                 name=f"pareto:{secondary}_budget",
             ),
         )

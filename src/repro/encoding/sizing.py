@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from repro.channel.etx import build_etx_curve
 from repro.constraints.energy import (
     current_classes,
+    feasible_pair_snrs,
     lifetime_budget_ma_ms,
+    surcharge_chords,
     use_capacity,
     use_weights,
 )
+from repro.constraints.link_quality import quality_thresholds
 from repro.library.catalog import Library
 from repro.network.requirements import RequirementSet
 from repro.network.template import Template
@@ -41,10 +44,14 @@ def estimate_full_encoding_stats(
     template: Template,
     requirements: RequirementSet,
     library: Library,
-    etx_segments: int | None = None,
-    include_energy: bool | None = None,
+    include_energy: bool = False,
 ) -> SizeEstimate:
-    """Exact size of the full-encoding MILP, computed without building it."""
+    """Exact size of the full-encoding MILP, computed without building it.
+
+    ``include_energy`` counts what a request for the energy term adds —
+    the energy objective or the Pareto sweep's budget row: the energy
+    model even without a lifetime requirement, and the node charges.
+    """
     n_edges = template.edge_count
     n_nodes = template.node_count
     replicas_total = requirements.total_replicas
@@ -86,102 +93,134 @@ def estimate_full_encoding_stats(
     num_cons += optional_nodes  # alpha <= incident edges / isolated
 
     # -- link quality ----------------------------------------------------------
-    if requirements.link_quality is not None:
-        # Mirror the builder: a row is only emitted when the bound can
-        # actually be violated (big-M > 0 given the edge's path loss and
-        # the worst-case sizing, including "node unused" = 0 dB).
-        lq = requirements.link_quality
-        noise = template.link_type.noise_dbm
-        tx_lo_by_role: dict[str, float] = {}
-        rx_lo_by_role: dict[str, float] = {}
-        for node in template.nodes:
-            if node.role in tx_lo_by_role:
-                continue
-            devices = library.for_role(node.role)
-            tx_lo_by_role[node.role] = min(
-                0.0, *(d.effective_tx_dbm for d in devices)
-            ) if devices else 0.0
-            rx_lo_by_role[node.role] = min(
-                0.0, *(d.antenna_gain_dbi for d in devices)
-            ) if devices else 0.0
-        thresholds = []
-        if lq.min_rss_dbm is not None:
-            thresholds.append(lq.min_rss_dbm)
-        min_snr = lq.effective_min_snr_db(template.link_type.modulation)
-        if min_snr is not None:
-            thresholds.append(min_snr + noise)
-        for u, v, pl in template.edges():
-            rss_lo = (
-                tx_lo_by_role[template.node(u).role]
-                + rx_lo_by_role[template.node(v).role]
-                - pl
-            )
-            for rss_threshold in thresholds:
-                if rss_threshold - rss_lo > 0:
-                    num_cons += 1
+    # Mirror the builder: a row is only emitted when the bound can actually
+    # be violated (big-M > 0 given the edge's path loss and the worst-case
+    # sizing, including "node unused" = 0 dB).
+    thresholds = [
+        threshold for _, threshold in quality_thresholds(
+            requirements.link_quality, template
+        )
+    ]
+    tx_lo: dict[int, float] = {}
+    rx_lo: dict[int, float] = {}
+    for node in template.nodes:
+        devices = library.for_role(node.role)
+        tx_lo[node.id] = min(
+            0.0, *(d.effective_tx_dbm for d in devices)
+        ) if devices else 0.0
+        rx_lo[node.id] = min(
+            0.0, *(d.antenna_gain_dbi for d in devices)
+        ) if devices else 0.0
+    for u, v, pl in template.edges():
+        rss_lo = tx_lo[u] + rx_lo[v] - pl
+        num_cons += sum(1 for t in thresholds if t - rss_lo > 0)
 
     # -- energy ------------------------------------------------------------------
-    if include_energy is None:
-        include_energy = requirements.lifetime is not None
-    if include_energy:
-        curve = build_etx_curve(
-            requirements.power.packet_bytes, template.link_type.modulation,
+    needs_energy = include_energy or requirements.lifetime is not None
+    if needs_energy and replicas_total:
+        more_vars, more_cons = _energy_size(
+            template, requirements, library, tx_lo, rx_lo,
+            max(thresholds, default=None), include_energy,
         )
-        if etx_segments is None:
-            etx_segments = len(curve.pwl.segments)
-        noise = template.link_type.noise_dbm
-        tx_lo = {
-            node.id: min(
-                0.0, *(d.effective_tx_dbm for d in library.for_role(node.role))
-            ) if library.for_role(node.role) else 0.0
-            for node in template.nodes
-        }
-        rx_lo = {
-            node.id: min(
-                0.0, *(d.antenna_gain_dbi for d in library.for_role(node.role))
-            ) if library.for_role(node.role) else 0.0
-            for node in template.nodes
-        }
-        dev_u = {node.id: devices_per_node[node.id] for node in template.nodes}
-        for u, v, pl in template.edges():
-            # etx, qtx, qrx + one w_tx and one w_rx per use.
-            num_vars += 3 + 2 * replicas_total
-            num_cons += etx_segments  # PWL rows
-            # SNR-floor row, emitted only when the edge could dip below
-            # the curve's domain (mirrors the builder's big-M check).
-            snr_lo = tx_lo[u] + rx_lo[v] - pl - noise
-            if curve.snr_floor - snr_lo > 0:
-                num_cons += 1
-            num_cons += dev_u[u] + dev_u[v]  # qtx/qrx device rows
-            num_cons += 2 * replicas_total  # w activation rows
-        touched = set(out_deg) | set(in_deg)
-        lifetime = requirements.lifetime
-        tdma = requirements.tdma
-        airtime_ms = template.link_type.packet_airtime_ms(
-            requirements.power.packet_bytes
-        )
-        budget = (
-            lifetime_budget_ma_ms(lifetime, tdma, requirements.power)
-            if lifetime is not None
-            else 0.0
-        )
-        for node_id in touched:
-            num_vars += 2  # qact, qsleep
-            num_cons += 2 * dev_u[node_id]
-            role = template.node(node_id).role
-            if lifetime is None or role in lifetime.mains_roles:
-                continue
-            num_cons += 1  # lifetime budget
-            # Capacity rows: every edge carries one use per replica, so a
-            # device class's total use weight is a closed form.
-            n_tx = replicas_total * out_deg.get(node_id, 0)
-            n_rx = replicas_total * in_deg.get(node_id, 0)
-            classes = current_classes(library.for_role(role))
-            weights = [use_weights(c[0], tdma, airtime_ms) for c in classes]
-            if all(w_tx > 0.0 and w_rx > 0.0 for w_tx, w_rx in weights):
-                num_cons += sum(
-                    1 for c, (w_tx, w_rx) in zip(classes, weights)
-                    if n_tx * w_tx + n_rx * w_rx
-                    > use_capacity(c[0], budget, tdma)
-                )
+        num_vars += more_vars
+        num_cons += more_cons
     return SizeEstimate(num_vars=num_vars, num_constraints=num_cons)
+
+
+def _energy_size(
+    template: Template,
+    requirements: RequirementSet,
+    library: Library,
+    tx_lo: dict[int, float],
+    rx_lo: dict[int, float],
+    rss_floor: float | None,
+    include_energy: bool,
+) -> tuple[int, int]:
+    """Columns and rows of :func:`repro.constraints.energy.build_energy`.
+
+    In the full encoding every edge carries one use binary per replica,
+    so each node's uses, and each class row's largest left side, are
+    closed forms in its degrees.
+    """
+    uses = requirements.total_replicas
+    curve = build_etx_curve(
+        requirements.power.packet_bytes, template.link_type.modulation,
+    )
+    noise = template.link_type.noise_dbm
+    tdma = requirements.tdma
+    airtime_ms = template.link_type.packet_airtime_ms(
+        requirements.power.packet_bytes
+    )
+    num_vars = num_cons = 0
+
+    # Per edge: the SNR-floor row, and on surcharge edges the etx column,
+    # its chord rows and one eta column and row per use.
+    degree: dict[int, list[int]] = {}
+    surcharge: dict[int, list[float]] = {}  # node -> [TX, RX] sum of U - 1
+    for u, v, pl in template.edges():
+        degree.setdefault(u, [0, 0])[0] += 1
+        degree.setdefault(v, [0, 0])[1] += 1
+        if curve.snr_floor - (tx_lo[u] + rx_lo[v] - pl - noise) > 0:
+            num_cons += 1
+        senders = library.for_role(template.node(u).role)
+        receivers = library.for_role(template.node(v).role)
+        snrs = feasible_pair_snrs(
+            [d.effective_tx_dbm for d in senders],
+            [d.antenna_gain_dbi for d in receivers],
+            pl, noise, rss_floor, curve.snr_floor,
+        )
+        chords, top = surcharge_chords(curve, snrs)
+        if chords:
+            num_vars += 1 + uses
+            num_cons += len(chords) + uses
+            surcharge.setdefault(u, [0.0, 0.0])[0] += uses * (top - 1.0)
+            surcharge.setdefault(v, [0.0, 0.0])[1] += uses * (top - 1.0)
+
+    lifetime = requirements.lifetime
+    budget = (
+        lifetime_budget_ma_ms(lifetime, tdma, requirements.power)
+        if lifetime is not None
+        else 0.0
+    )
+    slots_per_report = tdma.slots * (
+        tdma.report_interval_ms / tdma.superframe_ms
+    )
+    for node_id, (out_deg, in_deg) in degree.items():
+        n_tx, n_rx = uses * out_deg, uses * in_deg
+        if n_tx + n_rx > slots_per_report:
+            num_cons += 1  # TDMA schedulability
+        role = template.node(node_id).role
+        classes = current_classes(library.for_role(role))
+        sur_tx, sur_rx = surcharge.get(node_id, (0.0, 0.0))
+        tops = []
+        for members in classes:
+            w_tx, w_rx = use_weights(members[0], tdma, airtime_ms)
+            r_tx = members[0].radio_tx_ma * airtime_ms
+            r_rx = members[0].radio_rx_ma * airtime_ms
+            paid = max(r_tx, 0.0) * sur_tx + max(r_rx, 0.0) * sur_rx
+            tops.append((n_tx * max(w_tx, 0.0) + n_rx * max(w_rx, 0.0), paid))
+        if include_energy:
+            # z[k,c] per use binary and class, one sum row per binary,
+            # plus a surcharge column and row per class that pays one.
+            binaries = n_tx + n_rx
+            num_vars += binaries * len(classes)
+            num_cons += binaries * (1 + len(classes))
+            paying = sum(1 for _, paid in tops if paid > 0.0)
+            num_vars += paying
+            num_cons += paying
+        if lifetime is None or role in lifetime.mains_roles:
+            continue
+        # Exact class rows, with the builder's carry-all test.
+        num_cons += sum(
+            1 for members, (weight, paid) in zip(classes, tops)
+            if weight + paid > use_capacity(members[0], budget, tdma)
+        )
+        # Lifted capacity rows.
+        weights = [use_weights(c[0], tdma, airtime_ms) for c in classes]
+        if all(w_tx > 0.0 and w_rx > 0.0 for w_tx, w_rx in weights):
+            num_cons += sum(
+                1 for c, (w_tx, w_rx) in zip(classes, weights)
+                if n_tx * w_tx + n_rx * w_rx
+                > use_capacity(c[0], budget, tdma)
+            )
+    return num_vars, num_cons

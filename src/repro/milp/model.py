@@ -15,7 +15,6 @@ because the paper's Tables 3-4 report them directly.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any
@@ -231,31 +230,6 @@ class Model:
             if var.name == name:
                 return var
         raise KeyError(f"no variable named {name!r}")
-
-    def relaxed_copy(
-        self, defer: "Callable[[Constraint], bool]",
-    ) -> "tuple[Model, list[Constraint]]":
-        """A working copy without the rows selected by ``defer``.
-
-        The copy shares this model's variable handles (immutable, same
-        index space) and objective, and starts from a snapshot of its
-        hints; its constraint list holds only the rows ``defer`` did
-        *not* select.  The deferred rows are returned so a caller can
-        check them against a solution of the copy or :meth:`add` them
-        back — their variable indices stay valid in the copy.
-        """
-        clone = Model(f"{self.name}:relaxed")
-        clone._vars = list(self._vars)
-        clone._names_seen = set(self._names_seen)
-        clone._objective = self._objective
-        clone.hints = dict(self.hints)
-        deferred: list[Constraint] = []
-        for constraint in self._constraints:
-            if defer(constraint):
-                deferred.append(constraint)
-            else:
-                clone._constraints.append(constraint)
-        return clone, deferred
 
     # -- assembly --------------------------------------------------------------
 

@@ -66,6 +66,20 @@ class TestExplorePareto:
             energy_only.objective_terms["energy"] * 1.02 + 1e-6
         )
 
+    def test_budgets_span_the_true_charge_range(self, front, explorer):
+        """The cost extreme reports its design's charge, not the slack
+        of unpriced charge variables, so every budget buys a design of
+        its own, reported at its validated charge (the PWL over-estimates
+        ETX by at most 4e-6 at the 20 dB floor)."""
+        assert len({round(p.primary, 6) for p in front.points}) == 5
+        for point in front.points:
+            report = validate(
+                point.result.architecture, explorer.requirements
+            )
+            assert point.secondary == pytest.approx(
+                report.total_charge_ma_ms, rel=1e-5
+            )
+
     def test_knee_is_on_the_front(self, front):
         knee = front.knee()
         assert knee in front.points

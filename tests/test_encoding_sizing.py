@@ -15,7 +15,9 @@ from repro.network import (
 )
 
 
-def build_full(instance, requirements):
+def build_full(instance, requirements, energy_term=False):
+    """The full model as the explorer assembles it; ``energy_term`` reads
+    the energy expression, as the energy objective does."""
     library = default_catalog()
     model = Model()
     mapping = build_mapping(model, instance.template, library)
@@ -25,11 +27,13 @@ def build_full(instance, requirements):
     lq = build_link_quality(
         model, instance.template, mapping, encoding, requirements.link_quality
     )
-    if requirements.lifetime is not None:
-        build_energy(
+    if requirements.lifetime is not None or energy_term:
+        energy = build_energy(
             model, instance.template, mapping, encoding, lq,
             requirements.tdma, requirements.power, requirements.lifetime,
         )
+        if energy_term:
+            energy.total_charge()
     return model
 
 
@@ -55,6 +59,34 @@ def test_estimate_matches_built_model(with_lq, with_lifetime, replicas,
     )
     assert estimate.num_vars == stats.num_vars
     assert estimate.num_constraints == stats.num_constraints
+
+
+@pytest.mark.parametrize("spacing,min_snr_db", [(8.0, 20.0), (25.0, None)])
+@pytest.mark.parametrize("with_lifetime", [False, True])
+def test_estimate_matches_energy_objective_model(spacing, min_snr_db,
+                                                 with_lifetime):
+    """Under the energy objective the node charges join the model.  At
+    25 m without an SNR floor most links carry ETX surcharges."""
+    instance = small_grid_template(nx=3, ny=2, spacing=spacing)
+    requirements = RequirementSet()
+    for s in instance.sensor_ids:
+        requirements.require_route(s, instance.sink_id, replicas=2,
+                                   disjoint=True)
+    if min_snr_db is not None:
+        requirements.link_quality = LinkQualityRequirement(
+            min_snr_db=min_snr_db
+        )
+    if with_lifetime:
+        requirements.lifetime = LifetimeRequirement(years=10.0)
+
+    model = build_full(instance, requirements, energy_term=True)
+    estimate = estimate_full_encoding_stats(
+        instance.template, requirements, default_catalog(),
+        include_energy=True,
+    )
+    assert estimate.num_vars == model.stats().num_vars
+    assert estimate.num_constraints == model.stats().num_constraints
+    assert any(v.name.startswith("z[") for v in model.variables)
 
 
 def test_estimate_with_hop_bounds():

@@ -17,8 +17,9 @@ from repro import (
     default_catalog,
     synthetic_template,
 )
+from repro.failures import analyze_resiliency
 from repro.protocols import CsmaConfig, csma_energy, csma_lifetime_years
-from repro.validation import analyze_resiliency, lifetime_years, validate
+from repro.validation import lifetime_years, validate
 
 
 def main() -> None:

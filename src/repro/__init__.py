@@ -54,7 +54,9 @@ from repro.encoding.full import FullPathEncoder
 from repro.failures import (
     FailurePattern,
     FailuresSpec,
+    ResiliencyReport,
     SurvivabilityReport,
+    analyze_resiliency,
     generate_patterns,
     parse_failures_spec,
     robust_solve,
@@ -109,7 +111,6 @@ from repro.scenarios import (
 from repro.simulation.datacollection import DataCollectionSimulator
 from repro.spec.problem import compile_spec
 from repro.validation.checker import ValidationReport, validate
-from repro.validation.resiliency import ResiliencyReport, analyze_resiliency
 
 __version__ = "1.0.0"
 

@@ -43,9 +43,7 @@ Edge = tuple[int, int]
 class WarmStart:
     """A certified-feasible assignment for a model, plus provenance."""
 
-    #: Full assignment over the model's variable space (original space —
-    #: map through ``PostsolveMap.forward`` before handing it to a
-    #: solver that sees the presolved model).
+    #: Full assignment over the model's variable space.
     x: npt.NDArray[np.float64]
     #: User-space objective value at ``x`` (constant folded in).
     objective: float

@@ -17,12 +17,6 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
 )
-from repro.analysis.presolve import (
-    PRESOLVE_MODES,
-    PresolveReport,
-    PresolveResult,
-    presolve,
-)
 from repro.analysis.rules import (
     ModelContext,
     ModelRule,
@@ -37,14 +31,11 @@ from repro.analysis.rules import (
 )
 
 __all__ = [
-    "PRESOLVE_MODES",
     "AnalysisError",
     "AnalysisReport",
     "Diagnostic",
     "ModelContext",
     "ModelRule",
-    "PresolveReport",
-    "PresolveResult",
     "Rule",
     "Severity",
     "SpecContext",
@@ -53,7 +44,6 @@ __all__ = [
     "analyze_problem",
     "model_rule",
     "model_rules",
-    "presolve",
     "rule_catalog",
     "spec_rule",
     "spec_rules",

@@ -21,6 +21,7 @@ from collections.abc import Iterator
 import numpy as np
 import numpy.typing as npt
 
+from repro.analysis import propagation
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.rules import (
     ModelContext,
@@ -262,7 +263,7 @@ class LooseBigMRule(ModelRule):
 
     A finding needs two verdicts.  The *declared* bounds decide whether
     the constant looks like a modelling bug.  Fixpoint-*propagated*
-    bounds (:func:`repro.analysis.presolve.propagated_bounds`) can then
+    bounds (:func:`repro.analysis.propagation.propagated_bounds`) can then
     only acquit: a row like ``c - 50*b >= -44`` looks like a loose M=50
     against ``c in [0, 10]``, but when another row forces ``c >= 6`` the
     indicator side is *vacuous* — the row is implied for both values of
@@ -378,11 +379,7 @@ class LooseBigMRule(ModelRule):
             or np.isnan(rows.coefs).any()
         ):
             return np.zeros(len(flagged), dtype=np.bool_)
-        # Deferred import: the presolve package imports the diagnostics
-        # types from this package's siblings.
-        from repro.analysis.presolve import propagated_bounds
-
-        prop_lower, prop_upper, _ = propagated_bounds(ctx.model)
+        prop_lower, prop_upper, _ = propagation.propagated_bounds(ctx.model)
         in_flagged = np.zeros(len(rows.counts), dtype=np.bool_)
         in_flagged[flagged] = True
         term = ctx.nonzero_term & in_flagged[row_of]

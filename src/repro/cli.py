@@ -78,17 +78,6 @@ from repro.spec.problem import compile_spec
 from repro.validation.checker import validate
 
 
-def _add_presolve_arg(command: argparse.ArgumentParser) -> None:
-    """The shared ``--presolve`` mode flag (see docs/formulation.md)."""
-    command.add_argument(
-        "--presolve", choices=["off", "reduce", "full"], default="off",
-        help="run the static presolve engine on the built model before "
-             "solving: 'reduce' transforms the model (bound propagation, "
-             "variable fixing, row/column merging), 'full' additionally "
-             "adds symmetry-breaking rows (default: off)",
-    )
-
-
 def _add_warm_start_arg(command: argparse.ArgumentParser) -> None:
     """The shared ``--warm-start`` flag (see docs/performance.md)."""
     command.add_argument(
@@ -158,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="retry crashed/errored solves up to N times "
                           "before falling back (enables the solver "
                           "watchdog; see docs/robustness.md)")
-    _add_presolve_arg(syn)
     _add_warm_start_arg(syn)
     _add_failures_arg(syn)
     syn.add_argument("--checkpoint", type=Path, metavar="FILE",
@@ -191,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--max-retries", type=int, metavar="N",
                      help="retry crashed/errored solves up to N times "
                           "(enables the solver watchdog)")
-    _add_presolve_arg(loc)
     _add_warm_start_arg(loc)
     _add_telemetry_args(loc)
 
@@ -209,12 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="run spec-level rules only; skip building the MILP")
     lint.add_argument("--json", action="store_true",
                       help="emit the full report as JSON on stdout")
-    lint.add_argument("--presolve", nargs="?", const="full",
-                      choices=["reduce", "full"], metavar="MODE",
-                      help="additionally run the presolve engine on the "
-                           "built model and report its reductions (MODE is "
-                           "'reduce' or 'full', default 'full'); a proved "
-                           "infeasibility is a blocking error")
 
     sub.add_parser("catalog", help="print the component library")
 
@@ -243,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     kst.add_argument("--max-retries", type=int, metavar="N",
                      help="retry crashed/errored rung solves up to N times "
                           "(enables the solver watchdog)")
-    _add_presolve_arg(kst)
     _add_warm_start_arg(kst)
     _add_failures_arg(kst)
     kst.add_argument("--checkpoint", type=Path, metavar="FILE",
@@ -408,7 +388,6 @@ def _cmd_synthesize(args) -> int:
                                mip_rel_gap=args.mip_gap),
             options=SolveOptions(deadline_s=args.deadline,
                                  max_retries=args.max_retries,
-                                 presolve=args.presolve,
                                  warm_start=args.warm_start,
                                  failures=args.failures,
                                  parallel=args.parallel,
@@ -516,7 +495,6 @@ def _cmd_localize(args) -> int:
             channel=instance.channel, k_star=args.k_star,
             options=SolveOptions(deadline_s=args.deadline,
                                  max_retries=args.max_retries,
-                                 presolve=args.presolve,
                                  warm_start=args.warm_start),
         )
     except AnalysisError as exc:
@@ -613,13 +591,6 @@ def _cmd_lint(args) -> int:
             ))
         else:
             report.merge(analyze_model(built.model))
-            if args.presolve:
-                from repro.analysis.presolve import presolve
-
-                result = presolve(built.model, mode=args.presolve)
-                report.add(result.report.to_diagnostic())
-                if not args.json:
-                    print(f"presolve: {result.report.summary()}")
     return _emit_lint_report(args, report)
 
 
@@ -659,7 +630,6 @@ def _cmd_kstar(args) -> int:
                 parallel=args.parallel,
                 deadline_s=args.deadline,
                 max_retries=args.max_retries,
-                presolve=args.presolve,
                 warm_start=args.warm_start,
                 failures=args.failures,
                 checkpoint=args.checkpoint,

@@ -23,11 +23,7 @@ from repro.core.kstar_search import (
     scan_ladder,
 )
 from repro.core.objectives import ObjectiveSpec, parse_objective
-from repro.core.options import (
-    DEFAULT_OPTIONS,
-    SolveOptions,
-    resolve_options,
-)
+from repro.core.options import DEFAULT_OPTIONS, SolveOptions
 from repro.core.pareto import ParetoFront, ParetoPoint, explore_pareto
 from repro.core.results import SynthesisResult
 
@@ -54,7 +50,6 @@ __all__ = [
     "explore_pareto",
     "kstar_search",
     "parse_objective",
-    "resolve_options",
     "result_from_dict",
     "result_to_dict",
     "scan_ladder",

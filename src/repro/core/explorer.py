@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 from repro.analysis.analyzer import analyze_model, analyze_problem
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
-from repro.analysis.presolve import PresolveResult
-from repro.analysis.presolve import presolve as run_presolve
 from repro.channel.base import ChannelModel
 from repro.constraints.energy import EnergyVars, build_energy
 from repro.constraints.link_quality import LinkQualityVars, build_link_quality
@@ -40,7 +38,7 @@ from repro.library.catalog import Library
 from repro.milp.expr import LinExpr, lin_sum
 from repro.milp.highs import HighsSolver
 from repro.milp.model import Model
-from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solution import Solution
 from repro.network.requirements import ReachabilityRequirement, RequirementSet
 from repro.network.template import Template
 from repro.network.topology import Architecture
@@ -81,12 +79,6 @@ class BuiltProblem:
     objective_exprs: dict[str, LinExpr]
     #: Findings of the pre-solve static analyzer (None when disabled).
     analysis: AnalysisReport | None = None
-    #: The presolve transformation (None when presolve is off).  The
-    #: ``model`` field above always stays the *original* model — decode
-    #: handles and reported stats refer to it; the solve path runs the
-    #: solver on ``presolve.model`` and restores through
-    #: ``presolve.postsolve``.
-    presolve: PresolveResult | None = None
 
     def term(self, name: str) -> LinExpr:
         """The expression of objective term ``name``.
@@ -132,19 +124,10 @@ class ExplorerBase(abc.ABC):
         Run the pre-solve static analyzer in :meth:`build` (default).
         Disable only to reproduce raw encoder/solver behaviour on inputs
         the analyzer would refuse.
-    presolve:
-        Presolve mode applied to the built model before any solver call:
-        ``"off"`` (default), ``"reduce"`` (bound propagation, fixing,
-        merging) or ``"full"`` (additionally symmetry breaking).  The
-        solver sees the reduced model; solutions are restored to the
-        original variable space before decoding, and the
-        :class:`~repro.analysis.presolve.PresolveReport` rides on
-        ``SynthesisResult.diagnostics``.
     warm_start:
         Compute the greedy primal heuristic's feasible incumbent
         (:mod:`repro.accel.warmstart`) before each solve and hand it to
-        the backend through ``Model.hints["warm_start"]`` (forward-
-        mapped through presolve when that is armed).  Setting the
+        the backend through ``Model.hints["warm_start"]``.  Setting the
         :attr:`warm_start_architecture` attribute additionally lets a
         caller (the kstar ladder) seed the heuristic with a previous
         incumbent's topology.
@@ -158,7 +141,6 @@ class ExplorerBase(abc.ABC):
         solver=None,
         cache: EncodeCache | None = None,
         analyze: bool = True,
-        presolve: str = "off",
         warm_start: bool = False,
     ) -> None:
         self.template = template
@@ -166,7 +148,6 @@ class ExplorerBase(abc.ABC):
         self.solver = solver or HighsSolver()
         self.cache = cache
         self.analyze = analyze
-        self.presolve = presolve
         self.warm_start = warm_start
         #: Optional previous incumbent whose topology seeds the greedy
         #: heuristic (the kstar ladder chains rungs through this).
@@ -238,11 +219,6 @@ class ExplorerBase(abc.ABC):
                     f"{type(self).__name__} model analysis"
                 )
             built.analysis = report if self.analyze else None
-            if self.presolve != "off":
-                with timings.phase("presolve"):
-                    built.presolve = run_presolve(
-                        built.model, mode=self.presolve
-                    )
             model_stats = built.model.stats()
             build_span.set_attributes(
                 variables=model_stats.num_vars,
@@ -304,10 +280,6 @@ class ExplorerBase(abc.ABC):
             diagnostics = []
             if built.analysis is not None:
                 diagnostics = built.analysis.errors + built.analysis.warnings
-            if built.presolve is not None:
-                diagnostics = diagnostics + [
-                    built.presolve.report.to_diagnostic()
-                ]
             diagnostics = diagnostics + _telemetry_diagnostics()
             solve_span.set_attribute("status", solution.status.name)
             return SynthesisResult(
@@ -329,22 +301,11 @@ class ExplorerBase(abc.ABC):
             )
 
     def _solve_built(self, built: BuiltProblem) -> Solution:
-        """Run the solver on ``built``, through presolve when armed.
+        """Run the solver on ``built``.
 
-        With presolve active the backend sees the reduced model and the
-        assignment is restored to the original variable space before it
-        reaches any decode handle.  A presolve infeasibility proof
-        short-circuits the backend entirely.  With ``warm_start`` armed
-        the greedy start lands on the solved model's hints first.
+        With ``warm_start`` armed the greedy start lands on the model's
+        hints first.
         """
-        if built.presolve is not None and built.presolve.proved_infeasible:
-            return Solution(
-                status=SolveStatus.INFEASIBLE,
-                message=(
-                    "presolve proved infeasibility: "
-                    f"{built.presolve.report.infeasible_reason}"
-                ),
-            )
         if self.warm_start:
             from repro.accel.warmstart import (
                 attach_warm_start,
@@ -356,18 +317,7 @@ class ExplorerBase(abc.ABC):
             )
             if warm is not None:
                 attach_warm_start(built.model, warm)
-                if built.presolve is not None:
-                    forwarded = built.presolve.postsolve.forward(warm.x)
-                    if forwarded is not None:
-                        built.presolve.model.hints["warm_start"] = {
-                            "x": forwarded,
-                            "objective": warm.objective,
-                            "source": warm.source,
-                        }
-        if built.presolve is None:
-            return self.solver.solve(built.model)
-        reduced = self.solver.solve(built.presolve.model)
-        return built.presolve.postsolve.restore(reduced)
+        return self.solver.solve(built.model)
 
     def _decode(
         self, solution: Solution, built: BuiltProblem
@@ -415,12 +365,11 @@ class DataCollectionExplorer(ExplorerBase):
         reach_k_star: int = 20,
         cache: EncodeCache | None = None,
         analyze: bool = True,
-        presolve: str = "off",
         warm_start: bool = False,
     ) -> None:
         super().__init__(
             template, library, solver=solver, cache=cache,
-            analyze=analyze, presolve=presolve, warm_start=warm_start,
+            analyze=analyze, warm_start=warm_start,
         )
         self.requirements = requirements
         self.encoder = encoder or ApproximatePathEncoder(k_star=10)
@@ -512,12 +461,11 @@ class AnchorPlacementExplorer(ExplorerBase):
         solver=None,
         cache: EncodeCache | None = None,
         analyze: bool = True,
-        presolve: str = "off",
         warm_start: bool = False,
     ) -> None:
         super().__init__(
             template, library, solver=solver, cache=cache,
-            analyze=analyze, presolve=presolve, warm_start=warm_start,
+            analyze=analyze, warm_start=warm_start,
         )
         self.requirement = requirement
         self.channel = channel

@@ -25,7 +25,7 @@ from repro.core.explorer import (
     ExplorerBase,
 )
 from repro.core.objectives import ObjectiveSpec
-from repro.core.options import SolveOptions, resolve_options
+from repro.core.options import DEFAULT_OPTIONS, SolveOptions
 from repro.core.results import SynthesisResult
 from repro.milp.model import ModelStats
 from repro.milp.solution import Solution, SolveStatus
@@ -51,7 +51,6 @@ def build_explorer(
     k_star: int | None = None,
     reach_k_star: int = 20,
     cache: EncodeCache | None = None,
-    presolve: str = "off",
     warm_start: bool = False,
     failures: str | None = None,
     plan=None,
@@ -84,8 +83,7 @@ def build_explorer(
         return AnchorPlacementExplorer(
             template, library, requirements, channel,
             k_star=20 if k_star is None else k_star,
-            solver=solver, cache=cache, presolve=presolve,
-            warm_start=warm_start,
+            solver=solver, cache=cache, warm_start=warm_start,
         )
     if isinstance(requirements, RequirementSet):
         if encoder is None:
@@ -97,8 +95,7 @@ def build_explorer(
         explorer = DataCollectionExplorer(
             template, library, requirements,
             encoder=encoder, solver=solver, channel=channel,
-            reach_k_star=reach_k_star, cache=cache, presolve=presolve,
-            warm_start=warm_start,
+            reach_k_star=reach_k_star, cache=cache, warm_start=warm_start,
         )
         explorer.failures = failures
         explorer.floorplan = plan
@@ -127,7 +124,6 @@ def explore(
     options: SolveOptions | None = None,
     plan=None,
     previous=None,
-    **legacy,
 ) -> SynthesisResult | list[SynthesisResult]:
     """Synthesize an architecture (or several) for a problem.
 
@@ -148,11 +144,9 @@ def explore(
 
         repro.explore(..., options=SolveOptions(deadline_s=30, parallel=2))
 
-    (the bare ``parallel=``/``deadline_s=``/``max_retries=`` keywords
-    still work but are deprecated).  ``options.deadline_s`` (or an
-    explicit ``budget``) bounds the whole call's wall clock and
-    ``options.max_retries`` caps solver retries; setting either wraps
-    the solver in a
+    ``options.deadline_s`` (or an explicit ``budget``) bounds the whole
+    call's wall clock and ``options.max_retries`` caps solver retries;
+    setting either wraps the solver in a
     :class:`~repro.resilience.watchdog.ResilientSolver` (retry on
     ``ERROR``/crash, fallback chain, incumbent acceptance at the
     deadline — see docs/robustness.md), and each result then carries
@@ -174,7 +168,7 @@ def explore(
     :mod:`repro.scenarios`) passes the unedited problem's solution here
     alongside a cache pre-seeded from its compilation.
     """
-    opts = resolve_options(options, legacy, where="explore()")
+    opts = options if options is not None else DEFAULT_OPTIONS
     if (opts.checkpoint is not None or opts.resume) and opts.failures is None:
         raise ValueError(
             "explore() only checkpoints failure-verification sweeps "
@@ -205,8 +199,7 @@ def explore(
         template, library, requirements,
         encoder=encoder, solver=solver, channel=channel,
         k_star=k_star, reach_k_star=reach_k_star, cache=cache,
-        presolve=opts.presolve, warm_start=warm_start,
-        failures=opts.failures, plan=plan,
+        warm_start=warm_start, failures=opts.failures, plan=plan,
     )
     if previous is not None and warm_start:
         explorer.warm_start_architecture = previous

@@ -20,16 +20,17 @@ backend-aware so pools from different backends never mix.
 
 Resilience (see :mod:`repro.resilience` and docs/robustness.md):
 
-* ``budget`` / ``deadline_s`` bound the whole ladder — every rung's
-  solver attempt is clipped to the remaining time and the scan stops
-  with ``"deadline exhausted"`` once the budget is spent;
+* ``budget`` / ``options.deadline_s`` bound the whole ladder — every
+  rung's solver attempt is clipped to the remaining time and the scan
+  stops with ``"deadline exhausted"`` once the budget is spent;
 * ``retry`` wraps each rung's solver in a
   :class:`~repro.resilience.watchdog.ResilientSolver` (retry on
   ``ERROR``/crash, fallback chain, incumbent acceptance);
-* ``checkpoint`` persists every completed rung as a JSONL record; with
-  ``resume=True`` a killed ladder replays the recorded rungs (skipping
-  their solves entirely) and — because the stop rules run over the exact
-  recorded objectives — selects the identical best rung.
+* ``options.checkpoint`` persists every completed rung as a JSONL
+  record; with ``options.resume`` a killed ladder replays the recorded
+  rungs (skipping their solves entirely) and — because the stop rules
+  run over the exact recorded objectives — selects the identical best
+  rung.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from pathlib import Path
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.core.explorer import ExplorerBase
-from repro.core.options import SolveOptions, resolve_options
+from repro.core.options import DEFAULT_OPTIONS, SolveOptions
 from repro.core.results import SynthesisResult
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -174,7 +175,6 @@ def kstar_search(
     budget: DeadlineBudget | None = None,
     retry: RetryPolicy | None = None,
     options: SolveOptions | None = None,
-    **legacy,
 ) -> KStarSearchResult:
     """Climb the K* ladder until time or improvement runs out.
 
@@ -203,16 +203,12 @@ def kstar_search(
     carry one, so rungs share encode work (``options.cache=False``
     disables sharing).
 
-    The pre-options keywords (``parallel=``, ``deadline_s=``,
-    ``checkpoint=``, ``resume=``) still work but are deprecated; they
-    normalize into an equivalent ``SolveOptions``.
-
     Under an armed tracer the whole scan is one ``kstar.search`` span
     with a ``kstar.rung`` child per solved rung (also across
     ``parallel`` workers) and a ``checkpoint.restore`` child when
     resuming.
     """
-    opts = resolve_options(options, legacy, where="kstar_search()")
+    opts = options if options is not None else DEFAULT_OPTIONS
     parallel = opts.parallel
     resume = opts.resume
     checkpoint: str | Path | None = opts.checkpoint
@@ -222,7 +218,6 @@ def kstar_search(
         retry = opts.retry_policy()
     if opts.cache is False:
         cache = None
-    presolve = opts.presolve
     # Incremental re-solve rides the warm-start machinery: each rung
     # seeds from the previous rung's incumbent exactly as warm_start
     # does, on top of whatever cache entries the caller pre-seeded.
@@ -249,7 +244,6 @@ def kstar_search(
             retry=retry,
             checkpoint=checkpoint,
             resume=resume,
-            presolve=presolve,
             warm_start=warm_start,
             failures=failures,
         )
@@ -275,7 +269,6 @@ def _kstar_search_impl(
     retry: RetryPolicy | None,
     checkpoint: str | Path | None,
     resume: bool,
-    presolve: str = "off",
     warm_start: bool = False,
     failures: str | None = None,
 ) -> KStarSearchResult:
@@ -333,7 +326,7 @@ def _kstar_search_impl(
             Trial(
                 _solve_rung,
                 (make_explorer, k, objective, cache, budget, retry,
-                 presolve, warm_start, failures),
+                 warm_start, failures),
                 label=f"kstar:K={k}",
             )
             for k in pending
@@ -377,8 +370,7 @@ def _kstar_search_impl(
                     deadline_hit = True
                     return
                 trial = _solve_rung(make_explorer, k, objective, cache,
-                                    budget, retry, presolve, warm_start,
-                                    failures,
+                                    budget, retry, warm_start, failures,
                                     previous_architecture=previous)
                 if trial.result.feasible:
                     previous = getattr(trial.result, "architecture", None)
@@ -412,7 +404,6 @@ def _solve_rung(
     cache: EncodeCache | None,
     budget: DeadlineBudget | None = None,
     retry: RetryPolicy | None = None,
-    presolve: str = "off",
     warm_start: bool = False,
     failures: str | None = None,
     previous_architecture=None,
@@ -421,8 +412,6 @@ def _solve_rung(
         explorer = make_explorer(k)
         if cache is not None and getattr(explorer, "cache", None) is None:
             explorer.cache = cache
-        if presolve != "off" and getattr(explorer, "presolve", "off") == "off":
-            explorer.presolve = presolve
         if failures is not None and getattr(explorer, "failures", None) is None:
             # Every rung solves failure-aware; the rung's own floorplan
             # (set by make_explorer) feeds the geometric families.

@@ -10,10 +10,6 @@ rides the ``repro.server`` wire protocol inside a
 :class:`~repro.core.api.JobRequest` — so the in-process facade and the
 HTTP service speak one dialect.
 
-The old per-function keywords still work as a deprecated path: every
-entry point funnels them through :func:`resolve_options`, which warns
-once per call site and folds them into a :class:`SolveOptions`.
-
 Fields that a particular entry point cannot honour are ignored there
 (``checkpoint``/``resume`` only apply to the sweeps; ``trace``/
 ``metrics`` are consumed by the transports — the CLI and the server —
@@ -23,25 +19,11 @@ which arm telemetry around the call).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.resilience.policy import DeadlineBudget, RetryPolicy
-
-#: The deprecated per-function keywords :func:`resolve_options` accepts.
-LEGACY_OPTION_KEYS = (
-    "deadline_s",
-    "max_retries",
-    "parallel",
-    "checkpoint",
-    "resume",
-    "cache",
-    "trace",
-    "metrics",
-)
-
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -70,10 +52,6 @@ class SolveOptions:
     trace: str | None = None
     #: Prometheus-text metrics target, consumed by the transport.
     metrics: str | None = None
-    #: Presolve mode applied to every model before it reaches a solver:
-    #: ``"off"`` (default), ``"reduce"`` (transformations only) or
-    #: ``"full"`` (transformations + symmetry breaking).
-    presolve: str = "off"
     #: Seed every exact solve with the greedy primal heuristic's
     #: feasible topology (:mod:`repro.accel`); in the kstar ladder each
     #: rung additionally reuses the previous rung's incumbent.
@@ -93,11 +71,6 @@ class SolveOptions:
     failures: str | None = None
 
     def __post_init__(self) -> None:
-        if self.presolve not in ("off", "reduce", "full"):
-            raise ValueError(
-                f"presolve must be 'off', 'reduce' or 'full', "
-                f"got {self.presolve!r}"
-            )
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ValueError("deadline_s must be non-negative")
         if self.max_retries is not None and self.max_retries < 0:
@@ -172,51 +145,3 @@ class SolveOptions:
 
 #: The neutral defaults every entry point starts from.
 DEFAULT_OPTIONS = SolveOptions()
-
-
-def resolve_options(
-    options: SolveOptions | None,
-    legacy: dict[str, Any],
-    *,
-    where: str = "this call",
-) -> SolveOptions:
-    """The single normalization helper behind every entry point.
-
-    ``legacy`` is the ``**kwargs`` catch-all of an entry point; keys
-    must come from :data:`LEGACY_OPTION_KEYS`.  Values equal to the
-    :class:`SolveOptions` default are dropped silently (they change
-    nothing); anything else triggers one :class:`DeprecationWarning`
-    and is folded into the returned options.  Passing both ``options=``
-    and an effective legacy keyword is an error — two sources of truth
-    would be ambiguous.
-    """
-    unknown = sorted(set(legacy) - set(LEGACY_OPTION_KEYS))
-    if unknown:
-        raise TypeError(
-            f"{where} got unexpected keyword argument(s): "
-            f"{', '.join(unknown)}"
-        )
-    defaults = {
-        f.name: f.default for f in dataclasses.fields(SolveOptions)
-    }
-    provided = {
-        key: (str(value) if isinstance(value, Path) else value)
-        for key, value in legacy.items()
-        if (str(value) if isinstance(value, Path) else value)
-        != defaults[key]
-    }
-    if not provided:
-        return options if options is not None else DEFAULT_OPTIONS
-    if options is not None:
-        raise ValueError(
-            f"{where}: pass either options=SolveOptions(...) or the "
-            f"deprecated keyword(s) {sorted(provided)}, not both"
-        )
-    warnings.warn(
-        f"{where}: the keyword(s) {sorted(provided)} are deprecated; "
-        f"pass options=SolveOptions({', '.join(sorted(provided))}=...) "
-        f"instead (see docs/formulation.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SolveOptions(**provided)

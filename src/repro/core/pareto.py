@@ -8,16 +8,17 @@ budget on the secondary term, sweeping the budget between the two
 single-objective extremes.
 
 The budget solves are independent of each other, so they can run through
-the :class:`~repro.runtime.batch.BatchRunner` (``parallel=``); an
-explorer carrying an :class:`~repro.runtime.cache.EncodeCache` then
+the :class:`~repro.runtime.batch.BatchRunner` (``options.parallel``);
+an explorer carrying an :class:`~repro.runtime.cache.EncodeCache` then
 shares the path-loss/Yen encode work across every sweep point.
 
 Resilience (see :mod:`repro.resilience` and docs/robustness.md): a
-``deadline_s``/``budget`` clips every solve to the sweep's remaining
-wall clock; ``retry`` puts each solve under the
-:class:`~repro.resilience.watchdog.ResilientSolver`; ``checkpoint``
-persists the two extremes and every completed sweep point as JSONL so a
-killed sweep resumes (``resume=True``) without re-solving them.
+``budget`` (or ``options.deadline_s``) clips every solve to the sweep's
+remaining wall clock; ``retry`` puts each solve under the
+:class:`~repro.resilience.watchdog.ResilientSolver`;
+``options.checkpoint`` persists the two extremes and every completed
+sweep point as JSONL so a killed sweep resumes (``options.resume``)
+without re-solving them.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.presolve import presolve as run_presolve
 from repro.core.explorer import ExplorerBase
-from repro.core.options import SolveOptions, resolve_options
+from repro.core.options import DEFAULT_OPTIONS, SolveOptions
 from repro.core.results import SynthesisResult
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -149,7 +149,6 @@ def explore_pareto(
     budget: DeadlineBudget | None = None,
     retry: RetryPolicy | None = None,
     options: SolveOptions | None = None,
-    **legacy,
 ) -> ParetoFront:
     """Sweep the epsilon-constraint front between the two extremes.
 
@@ -159,13 +158,11 @@ def explore_pareto(
     budgets (possible at the tight end with MIP-gap slack) are skipped.
 
     Runtime behaviour comes in one
-    :class:`~repro.core.options.SolveOptions` object (the bare
-    ``parallel=``/``deadline_s=``/``checkpoint=``/``resume=`` keywords
-    still work but are deprecated).  With ``options.parallel > 1`` (or
-    an explicit ``runner``) the budget solves run concurrently; the
-    front is identical either way because each budget is an independent
-    MILP.  The default runner uses threads so the explorer's encode
-    cache is shared across sweep points.
+    :class:`~repro.core.options.SolveOptions` object.  With
+    ``options.parallel > 1`` (or an explicit ``runner``) the budget
+    solves run concurrently; the front is identical either way because
+    each budget is an independent MILP.  The default runner uses threads
+    so the explorer's encode cache is shared across sweep points.
 
     ``options.deadline_s`` (or an explicit ``budget``) bounds the whole
     sweep; points the deadline cuts off are omitted from the front (and
@@ -177,7 +174,7 @@ def explore_pareto(
     solve lands (the checkpoint must describe the same
     primary/secondary/points triple and the same problem fingerprint).
     """
-    opts = resolve_options(options, legacy, where="explore_pareto()")
+    opts = options if options is not None else DEFAULT_OPTIONS
     parallel = opts.parallel
     resume = opts.resume
     checkpoint: str | Path | None = opts.checkpoint
@@ -221,14 +218,11 @@ def explore_pareto(
                 )
 
     original_solver = explorer.solver
-    original_presolve = getattr(explorer, "presolve", "off")
     original_warm_start = getattr(explorer, "warm_start", False)
     original_failures = getattr(explorer, "failures", None)
     original_seed = getattr(explorer, "warm_start_architecture", None)
     if budget is not None or retry is not None:
         explorer.solver = _resilient(original_solver, budget, retry)
-    if opts.presolve != "off" and original_presolve == "off":
-        explorer.presolve = opts.presolve
     if opts.warm_start or opts.incremental:
         # Incremental mode rides the warm-start machinery: sweep points
         # re-use the caller's pre-seeded cache, and sequential sweeps
@@ -257,7 +251,6 @@ def explore_pareto(
             return front
     finally:
         explorer.solver = original_solver
-        explorer.presolve = original_presolve
         explorer.warm_start = original_warm_start
         explorer.failures = original_failures
         explorer.warm_start_architecture = original_seed
@@ -438,12 +431,6 @@ def _solve_budget(
             built.term(secondary) <= budget * (1 + 1e-9),
             name=f"pareto:{secondary}_budget",
         )
-        if built.presolve is not None:
-            # The budget row just mutated the model, so the presolve
-            # from build() is stale; redo it with the row included.
-            built.presolve = run_presolve(
-                built.model, mode=built.presolve.report.mode
-            )
         solution = explorer._solve_built(built)
         stats.timings.add("solve", solution.solve_time)
         point_span.set_attribute("status", solution.status.name)

@@ -14,9 +14,8 @@ Three layers, used together or separately:
   violated patterns become per-pattern survivability rows over the
   candidate pools and the MILP is re-solved to a fixpoint.
 
-:mod:`repro.failures.resiliency` hosts the historical single-fault
-(k=1) analysis, now expressed through the same pattern machinery;
-:mod:`repro.validation.resiliency` re-exports it unchanged.
+:mod:`repro.failures.resiliency` hosts the single-fault (k=1)
+analysis, expressed through the same pattern machinery.
 """
 
 from repro.failures.patterns import (

@@ -1,14 +1,10 @@
 """Single-fault resiliency analysis — the exhaustive k=1 pattern family.
 
-Historically :mod:`repro.validation.resiliency`; now expressed through
-the failure-pattern machinery: every used non-terminal node and every
-active directed link becomes a one-element
+Expressed through the failure-pattern machinery: every used
+non-terminal node and every active directed link becomes a one-element
 :class:`~repro.failures.patterns.FailurePattern`, and the survival
-predicate is the shared :meth:`FailurePattern.kills_route`.  The public
-surface (:class:`FaultImpact`, :class:`ResiliencyReport`,
-:func:`analyze_resiliency`) is unchanged — existing callers see the same
-verdicts, now in deterministic sorted order — and
-:mod:`repro.validation.resiliency` re-exports it as a deprecated shim.
+predicate is the shared :meth:`FailurePattern.kills_route`.  Verdicts
+come in deterministic sorted order.
 
 For multi-element and correlated geometric failures, use the full
 machinery: :func:`repro.failures.generate_patterns` +

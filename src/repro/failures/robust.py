@@ -36,7 +36,6 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.presolve import presolve as run_presolve
 from repro.core.results import SynthesisResult
 from repro.failures.patterns import (
     FailurePattern,
@@ -108,7 +107,7 @@ def robust_solve(
 
     ``mutate`` lets a caller tighten the built model before the first
     solve (the Pareto sweep adds its epsilon-constraint budget row this
-    way); any armed presolve is refreshed after the mutation.
+    way).
     """
     from repro.network.requirements import RequirementSet
     from repro.runtime.instrumentation import RunStats
@@ -143,10 +142,6 @@ def robust_solve(
         )
         if mutate is not None:
             mutate(built)
-            if built.presolve is not None:
-                built.presolve = run_presolve(
-                    built.model, mode=built.presolve.report.mode
-                )
 
         report = SurvivabilityReport()
         uncoverable: set[str] = set()
@@ -233,12 +228,6 @@ def robust_solve(
                     # cut, which a fresh solve cannot change): fixpoint.
                     break
                 counter("failures.patterns_cut").inc(added)
-                if built.presolve is not None:
-                    # The survivability rows just mutated the model, so
-                    # the presolve from build() is stale; redo it.
-                    built.presolve = run_presolve(
-                        built.model, mode=built.presolve.report.mode
-                    )
                 if explorer.warm_start:
                     # Chain the previous round's design into the next
                     # round's greedy seed (the PR 8 ladder idiom).
@@ -250,10 +239,6 @@ def robust_solve(
         diagnostics: list[Diagnostic] = []
         if built.analysis is not None:
             diagnostics = built.analysis.errors + built.analysis.warnings
-        if built.presolve is not None:
-            diagnostics = diagnostics + [
-                built.presolve.report.to_diagnostic()
-            ]
         from repro.core.explorer import _telemetry_diagnostics
 
         diagnostics = (

@@ -171,14 +171,6 @@ class BranchAndBoundSolver:
         # objectives, so the model's constant term is folded into every
         # recorded incumbent/bound.
         constant = model.objective.constant
-        # Presolve may attach a proven combinatorial lower bound on the
-        # user-space objective (Model.hints); internally the LP works on
-        # c @ x, so shift the constant out.  The hint can only *stop*
-        # the search early (incumbent provably optimal) or tighten the
-        # reported gap — it never prunes nodes, so a wrong-but-valid
-        # model still solves correctly with hints ignored.
-        hint = model.hints.get("objective_lower_bound")
-        hint_bound = None if hint is None else float(hint) - constant
         progress = SolveProgress(self.name)
         incumbent_x: npt.NDArray[np.float64] | None = None
         incumbent_obj = math.inf
@@ -220,14 +212,6 @@ class BranchAndBoundSolver:
                         0, incumbent_obj + constant,
                         bound=best_bound + constant,
                     )
-                    if hint_bound is not None and incumbent_obj <= (
-                        hint_bound
-                        + self.mip_rel_gap * max(1.0, abs(incumbent_obj))
-                    ):
-                        # Warm start already meets the proven lower
-                        # bound: optimal without exploring a node.
-                        best_bound = max(best_bound, hint_bound)
-                        heap.clear()
                 else:
                     warm_info = {
                         "status": "rejected",
@@ -248,8 +232,8 @@ class BranchAndBoundSolver:
             # The gap reference is max(1, |incumbent|), not |incumbent|:
             # at incumbent_obj == 0 a purely relative term vanishes and
             # the search would grind through every open node whose bound
-            # rounds to zero (same convention as the hint-bound stop
-            # below and scipy's mip_rel_gap handling).
+            # rounds to zero (same convention as scipy's mip_rel_gap
+            # handling).
             prune_at = incumbent_obj - self.mip_rel_gap * max(
                 1.0, abs(incumbent_obj)
             )
@@ -275,16 +259,6 @@ class BranchAndBoundSolver:
                         incumbent_obj + constant,
                         bound=best_bound + constant,
                     )
-                    if hint_bound is not None and incumbent_obj <= (
-                        hint_bound
-                        + self.mip_rel_gap * max(1.0, abs(incumbent_obj))
-                    ):
-                        # The incumbent meets the combinatorial lower
-                        # bound: provably optimal, no need to drain the
-                        # remaining open nodes.
-                        best_bound = max(best_bound, hint_bound)
-                        heap.clear()
-                        break
                 continue
             # Branch on the most fractional integer variable.
             j = int(int_idx[int(np.argmax(frac))])
@@ -323,13 +297,8 @@ class BranchAndBoundSolver:
                             node_count=nodes_explored, extra=extra)
 
         if heap:
-            effective_bound = best_bound
-            if hint_bound is not None:
-                effective_bound = max(effective_bound, hint_bound)
             gap_ref = max(abs(incumbent_obj), 1e-9)
-            gap = (
-                incumbent_obj - min(effective_bound, incumbent_obj)
-            ) / gap_ref
+            gap = (incumbent_obj - min(best_bound, incumbent_obj)) / gap_ref
             status = (
                 SolveStatus.OPTIMAL if gap <= self.mip_rel_gap
                 else SolveStatus.FEASIBLE

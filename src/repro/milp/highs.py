@@ -120,9 +120,9 @@ class HighsSolver:
             )
         form = model.to_standard_form()
         if form.c.shape[0] == 0:
-            # A fully-presolved (variable-free) model: scipy's milp
-            # rejects an empty c, but the model is trivially optimal at
-            # its objective constant.
+            # A variable-free model: scipy's milp rejects an empty c,
+            # but the model is trivially optimal at its objective
+            # constant.
             return Solution(
                 status=SolveStatus.OPTIMAL,
                 objective=model.objective.constant,

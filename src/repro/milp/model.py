@@ -89,13 +89,10 @@ class Model:
         self._constraints: list[Constraint] = []
         self._objective = LinExpr()
         self._names_seen: set[str] = set()
-        #: Advisory facts attached to the model by analysis passes —
+        #: Advisory facts attached to the model before it is solved —
         #: backends may exploit hints but must stay correct ignoring
-        #: them, and must re-validate anything a hint claims.  Known keys:
+        #: them, and must re-validate anything a hint claims.  Known key:
         #:
-        #: ``objective_lower_bound`` (float)
-        #:     Proven lower bound on the minimized objective, in user
-        #:     space (presolve writes this).
         #: ``warm_start`` (dict)
         #:     A candidate assignment over *this* model's variable space:
         #:     ``{"x": sequence of len(variables) floats,

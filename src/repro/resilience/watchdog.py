@@ -148,15 +148,6 @@ class ResilientSolver:
         (status ``"hang"``) once it exceeds its time limit by this grace
         period — protection against a backend that ignores its
         ``time_limit``.  ``None`` (default) calls the backend inline.
-    presolve:
-        Presolve mode applied once per ``solve()`` call, before any
-        backend runs (``"off"`` default, ``"reduce"``, ``"full"`` — see
-        :mod:`repro.analysis.presolve`).  Every backend in the chain
-        then solves the same reduced model; the winning solution is
-        restored to the original variable space (attempt log intact)
-        before it is returned.  A presolve infeasibility proof
-        short-circuits the whole chain.  Leave ``"off"`` when an
-        explorer upstream already presolves.
     raise_on_failure:
         Raise :class:`SolveFailure` instead of returning a status-only
         ``ERROR``/``TIMEOUT`` solution when the whole chain fails.
@@ -176,7 +167,6 @@ class ResilientSolver:
         budget: DeadlineBudget | None = None,
         deadline_s: float | None = None,
         hang_timeout_s: float | None = None,
-        presolve: str = "off",
         raise_on_failure: bool = False,
         clock: Clock = time.monotonic,
         sleep: Sleep = time.sleep,
@@ -194,7 +184,6 @@ class ResilientSolver:
         self.budget = budget
         self.deadline_s = deadline_s
         self.hang_timeout_s = hang_timeout_s
-        self.presolve = presolve
         self.raise_on_failure = raise_on_failure
         self._clock = clock
         self._sleep = sleep
@@ -204,27 +193,6 @@ class ResilientSolver:
     def solve(self, model: Model) -> Solution:
         """Run the chain on ``model``; always returns a :class:`Solution`
         carrying the attempt log (unless ``raise_on_failure``)."""
-        restore = None
-        if self.presolve != "off":
-            # Deferred import (cycle through the analysis package note).
-            from repro.analysis.presolve import presolve as run_presolve
-
-            presolved = run_presolve(model, mode=self.presolve)
-            if presolved.proved_infeasible:
-                return Solution(
-                    status=SolveStatus.INFEASIBLE,
-                    message=(
-                        "presolve proved infeasibility: "
-                        f"{presolved.report.infeasible_reason}"
-                    ),
-                )
-            model = presolved.model
-            restore = presolved.postsolve.restore
-        solution = self._solve_chain(model)
-        return restore(solution) if restore is not None else solution
-
-    def _solve_chain(self, model: Model) -> Solution:
-        """The retry/fallback ladder over ``model`` as given."""
         budget = self._solve_budget()
         attempts: list[SolveAttempt] = []
         for index, backend in enumerate((self.solver, *self.fallbacks)):

@@ -1,4 +1,7 @@
-"""Independent requirement validation and fault-resiliency analysis."""
+"""Independent requirement validation and shadowing robustness.
+
+Single-fault resiliency analysis lives in :mod:`repro.failures`.
+"""
 
 from repro.validation.checker import (
     ValidationReport,
@@ -7,20 +10,12 @@ from repro.validation.checker import (
     node_charge_ma_ms,
     validate,
 )
-from repro.validation.resiliency import (
-    FaultImpact,
-    ResiliencyReport,
-    analyze_resiliency,
-)
 from repro.validation.robustness import RobustnessReport, shadowing_robustness
 
 __all__ = [
-    "FaultImpact",
-    "ResiliencyReport",
     "RobustnessReport",
     "shadowing_robustness",
     "ValidationReport",
-    "analyze_resiliency",
     "lifetime_years",
     "link_rss_dbm",
     "node_charge_ma_ms",

@@ -220,7 +220,7 @@ class ReferenceLooseBigMRule(LooseBigMRule):
     """Indicator big-M constants should be as tight as the bounds allow.
 
     The activity analysis runs over *fixpoint-propagated* bounds
-    (:func:`repro.analysis.presolve.propagated_bounds`), not the raw
+    (:func:`repro.analysis.propagation.propagated_bounds`), not the raw
     declared bounds.  This retires a whole class of false positives: a
     row like ``c - 50*b >= -44`` looks like a loose M=50 against
     ``c in [0, 10]``, but when another row forces ``c >= 6`` the
@@ -238,9 +238,7 @@ class ReferenceLooseBigMRule(LooseBigMRule):
     _REL_SLACK = 0.01
 
     def check(self, model: Model) -> Iterator[Diagnostic]:
-        # Deferred import: the presolve package imports the diagnostics
-        # types from this package's siblings.
-        from repro.analysis.presolve import propagated_bounds
+        from repro.analysis.propagation import propagated_bounds
 
         n = len(model.variables)
         # Propagation only over a well-formed model; otherwise the

@@ -246,8 +246,7 @@ class TestStartAtTheLimit:
 
 
 class TestExplorerIntegration:
-    @pytest.mark.parametrize("presolve", ["off", "reduce"])
-    def test_warm_start_preserves_the_objective(self, problem, presolve):
+    def test_warm_start_preserves_the_objective(self, problem):
         instance, reqs = problem
         cold = DataCollectionExplorer(
             instance.template, default_catalog(), reqs,
@@ -255,8 +254,7 @@ class TestExplorerIntegration:
         ).solve("cost")
         warm = DataCollectionExplorer(
             instance.template, default_catalog(), reqs,
-            encoder=ApproximatePathEncoder(k_star=5),
-            presolve=presolve, warm_start=True,
+            encoder=ApproximatePathEncoder(k_star=5), warm_start=True,
         ).solve("cost")
         assert warm.feasible
         assert warm.objective_value == pytest.approx(cold.objective_value)

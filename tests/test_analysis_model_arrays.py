@@ -27,9 +27,8 @@ from .test_analysis_model_rules import sound_model
 INF = float("inf")
 NAN = float("nan")
 
-#: The presolve package; ``repro.analysis.presolve`` the attribute is the
-#: ``presolve`` function, so patch the module itself.
-PRESOLVE = importlib.import_module("repro.analysis.presolve")
+#: The module that owns ``propagated_bounds``; patch the module itself.
+PROPAGATION = importlib.import_module("repro.analysis.propagation")
 MODEL_RULES = importlib.import_module("repro.analysis.model_rules")
 
 BOUNDS = st.sampled_from([0.0, 1.0, -1.0, 2.5, 6.0, 10.0, -INF, INF])
@@ -302,13 +301,13 @@ class TestLooseBigMAcquittal:
         self, monkeypatch
     ):
         calls = []
-        real = PRESOLVE.propagated_bounds
+        real = PROPAGATION.propagated_bounds
 
         def counting(model, **kwargs):
             calls.append(model.name)
             return real(model, **kwargs)
 
-        monkeypatch.setattr(PRESOLVE, "propagated_bounds", counting)
+        monkeypatch.setattr(PROPAGATION, "propagated_bounds", counting)
         assert analyze_model(sound_model()).ok
         assert calls == []
         m, c = big_m_model()

@@ -147,29 +147,6 @@ class TestLint:
             assert text_code == json_code == expected
             assert (payload["errors"] > 0) == (expected == 1)
 
-    def test_presolve_mode_reports_reductions(self, capsys):
-        code = main([
-            "lint", str(self.EXAMPLES / "office.spec"),
-            "--presolve", "--sensors", "6", "--relays", "10",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "presolve[full]" in out
-
-    def test_presolve_mode_in_json_report(self, capsys):
-        code = main([
-            "lint", str(self.EXAMPLES / "office.spec"),
-            "--presolve", "reduce", "--json",
-            "--sensors", "6", "--relays", "10",
-        ])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert "presolve.report" in payload["rules"]
-        diag = next(d for d in payload["diagnostics"]
-                    if d["rule"] == "presolve.report")
-        assert diag["data"]["mode"] == "reduce"
-        assert diag["data"]["rows"]["after"] <= diag["data"]["rows"]["before"]
-
     def test_synthesize_refuses_doomed_spec(self, capsys, tmp_path):
         spec = tmp_path / "doomed.spec"
         spec.write_text(
@@ -216,6 +193,16 @@ class TestParsing:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", [
+        ["synthesize"], ["localize"], ["kstar"],
+        ["lint", "examples/specs/office.spec"],
+    ])
+    def test_presolve_flag_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--presolve", "reduce"])
+        assert exc.value.code == 2
+        assert "--presolve" in capsys.readouterr().err
 
 
 class TestScenarios:

@@ -69,6 +69,10 @@ class TestJobRequestWire:
             JobRequest.from_dict(
                 {"kind": "kstar", "options": {"portfolio": True}}
             )
+        with pytest.raises(ValueError, match="unknown option field"):
+            JobRequest.from_dict(
+                {"kind": "kstar", "options": {"presolve": "reduce"}}
+            )
 
 
 class TestJobRequestRun:

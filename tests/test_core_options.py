@@ -1,16 +1,9 @@
-"""Tests for :class:`SolveOptions` and legacy-keyword normalization."""
-
-import warnings
-from pathlib import Path
+"""Tests for :class:`SolveOptions` and the entry points that take it."""
 
 import pytest
 
 import repro
-from repro.core.options import (
-    DEFAULT_OPTIONS,
-    SolveOptions,
-    resolve_options,
-)
+from repro.core.options import DEFAULT_OPTIONS, SolveOptions
 from repro.resilience.policy import DeadlineBudget, RetryPolicy
 
 
@@ -65,6 +58,8 @@ class TestSolveOptions:
         # silently dropped, even at its old default.
         with pytest.raises(ValueError, match="unknown option"):
             SolveOptions.from_dict({"lazy_cuts": False})
+        with pytest.raises(ValueError, match="unknown option"):
+            SolveOptions.from_dict({"presolve": "off"})
 
     def test_derived_runtime_objects(self):
         opts = SolveOptions(deadline_s=5.0, max_retries=3)
@@ -83,44 +78,6 @@ class TestSolveOptions:
         assert changed.parallel == 2
         assert changed.deadline_s == 1.0
         assert opts.deadline_s is None  # frozen original untouched
-
-
-class TestResolveOptions:
-    def test_no_legacy_returns_options_or_defaults(self):
-        opts = SolveOptions(parallel=4)
-        assert resolve_options(opts, {}) is opts
-        assert resolve_options(None, {}) is DEFAULT_OPTIONS
-
-    def test_default_valued_legacy_dropped_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_options(
-                None, {"parallel": 1, "deadline_s": None, "resume": False}
-            )
-        assert resolved == DEFAULT_OPTIONS
-
-    def test_effective_legacy_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            resolved = resolve_options(
-                None, {"parallel": 2, "deadline_s": 9.0}, where="f()"
-            )
-        assert resolved.parallel == 2
-        assert resolved.deadline_s == 9.0
-
-    def test_both_sources_is_an_error(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_options(SolveOptions(), {"parallel": 2})
-
-    def test_unknown_keyword_is_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            resolve_options(None, {"paralell": 2}, where="f()")
-
-    def test_path_values_normalized(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_options(
-                None, {"checkpoint": tmp_path / "c.jsonl"}
-            )
-        assert resolved.checkpoint == str(tmp_path / "c.jsonl")
 
 
 class TestEntryPointsAcceptOptions:
@@ -145,16 +102,6 @@ class TestEntryPointsAcceptOptions:
                     checkpoint=str(tmp_path / "c.jsonl")
                 ),
             )
-
-    def test_explore_legacy_keyword_warns(
-        self, grid_instance, library, grid_requirements
-    ):
-        with pytest.warns(DeprecationWarning, match="explore\\(\\)"):
-            result = repro.explore(
-                grid_instance.template, library, grid_requirements,
-                parallel=2,
-            )
-        assert result.feasible
 
     def test_explore_unknown_keyword_rejected(
         self, grid_instance, library, grid_requirements

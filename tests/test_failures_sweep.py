@@ -199,19 +199,12 @@ class TestSweep:
 
 
 class TestShim:
-    def test_validation_resiliency_reexports(self):
-        from repro.failures.resiliency import (
-            analyze_resiliency as canonical,
-        )
-        from repro.validation.resiliency import analyze_resiliency
-        assert analyze_resiliency is canonical
-
     def test_single_fault_impacts_are_sorted(self, design):
         arch, _, s, d = design
         arch.routes = [Route(s, d, 0, (s, 5, d)),
                        Route(d, s, 0, (d, 5, s))]
         arch.active_edges = {e for r in arch.routes for e in r.edges}
-        from repro.validation import analyze_resiliency
+        from repro.failures import analyze_resiliency
         report = analyze_resiliency(arch)
         pairs = report.node_faults[5].disconnected_pairs
         assert pairs == sorted(pairs)

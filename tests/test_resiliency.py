@@ -2,9 +2,9 @@
 
 
 from repro.core import DataCollectionExplorer
+from repro.failures import analyze_resiliency
 from repro.library import default_catalog
 from repro.network import Architecture, RequirementSet, Route, small_grid_template
-from repro.validation import analyze_resiliency
 
 
 def hand_built(instance):

@@ -59,12 +59,11 @@ def make_problem(n_total, n_end):
     return instance, reqs
 
 
-def solve_approx(instance, reqs, **accel):
+def solve_approx(instance, reqs):
     explorer = DataCollectionExplorer(
         instance.template, default_catalog(), reqs,
         encoder=ApproximatePathEncoder(k_star=10),
         solver=HighsSolver(time_limit=600.0, mip_rel_gap=0.02),
-        **accel,
     )
     return explorer.solve("cost")
 
@@ -126,36 +125,3 @@ def test_table3_row(benchmark, n_total, n_end, table_rows):
             f"{'Time s (full/approx)':>23}",
             table_rows,
         )
-
-
-def test_table3_accel_delta(benchmark):
-    """Acceleration delta on the smallest Table 3 family: the warm start
-    must reproduce the cold objective (the exhaustive sweep is in
-    ``bench_warmstart.py``; this pins the parity on the same solver
-    configuration the table rows use)."""
-    n_total, n_end = SMALL_LADDER[0]
-    instance, reqs = make_problem(n_total, n_end)
-    cold = solve_approx(instance, reqs)
-    assert cold.feasible
-
-    accel = benchmark.pedantic(
-        lambda: solve_approx(instance, reqs, warm_start=True),
-        rounds=1, iterations=1,
-    )
-    assert accel.feasible
-    # Both runs share mip_rel_gap=0.02, so each may stop within 2 % of
-    # the optimum; parity holds to the combined tolerance.
-    assert accel.objective_value == pytest.approx(
-        cold.objective_value, rel=0.04
-    )
-    warm = accel.solution.extra.get("warm_start")
-    assert warm is not None and warm["status"] in ("accepted", "rejected")
-    write_table(
-        "table3_accel_delta",
-        f"{'#Nodes':>7} {'#End devices':>12} {'cold s':>8} "
-        f"{'warm s':>12} {'objective':>10}",
-        [
-            f"{n_total:>7} {n_end:>12} {cold.total_seconds:>8.1f} "
-            f"{accel.total_seconds:>12.1f} {accel.objective_value:>10.1f}"
-        ],
-    )

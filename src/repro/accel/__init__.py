@@ -1,12 +1,13 @@
-"""MILP acceleration: the greedy warm start.
+"""MILP acceleration: the warm start from a previous design.
 
-:mod:`repro.accel.warmstart` is a greedy primal heuristic that rounds a
-feasible topology out of the Yen candidate pools and completes it into
-a full assignment via a small restricted MILP (the (MI)LP-based primal
-heuristic pattern), fed to the backends through
+:mod:`repro.accel.warmstart` replays a previous design's routes against
+the new Yen candidate pools and completes them into a full assignment
+via a small restricted MILP, fed to the backends through
 ``Model.hints["warm_start"]``.
 
-It is opt-in through ``SolveOptions(warm_start=True)`` and advisory by
+The explorer computes it whenever it holds a previous design (its
+``warm_start_architecture``: the kstar ladder, the Pareto sweep and
+``repro.explore(previous=...)`` set it).  It is advisory by
 construction: every backend re-validates the start before acting on it,
 so a bug here can cost speed but never correctness.
 """
@@ -15,12 +16,10 @@ from repro.accel.warmstart import (
     WarmStart,
     attach_warm_start,
     compute_warm_start,
-    greedy_selection,
 )
 
 __all__ = [
     "WarmStart",
     "attach_warm_start",
     "compute_warm_start",
-    "greedy_selection",
 ]

@@ -78,15 +78,6 @@ from repro.spec.problem import compile_spec
 from repro.validation.checker import validate
 
 
-def _add_warm_start_arg(command: argparse.ArgumentParser) -> None:
-    """The shared ``--warm-start`` flag (see docs/performance.md)."""
-    command.add_argument(
-        "--warm-start", action="store_true",
-        help="seed the MILP solve with a greedy primal incumbent rounded "
-             "from the Yen candidate pools (see docs/performance.md)",
-    )
-
-
 def _add_failures_arg(command: argparse.ArgumentParser) -> None:
     """The shared ``--failures`` spec flag (see docs/failures.md)."""
     command.add_argument(
@@ -147,7 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="retry crashed/errored solves up to N times "
                           "before falling back (enables the solver "
                           "watchdog; see docs/robustness.md)")
-    _add_warm_start_arg(syn)
     _add_failures_arg(syn)
     syn.add_argument("--checkpoint", type=Path, metavar="FILE",
                      help="with --failures: persist each verified failure "
@@ -179,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--max-retries", type=int, metavar="N",
                      help="retry crashed/errored solves up to N times "
                           "(enables the solver watchdog)")
-    _add_warm_start_arg(loc)
     _add_telemetry_args(loc)
 
     lint = sub.add_parser(
@@ -224,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     kst.add_argument("--max-retries", type=int, metavar="N",
                      help="retry crashed/errored rung solves up to N times "
                           "(enables the solver watchdog)")
-    _add_warm_start_arg(kst)
     _add_failures_arg(kst)
     kst.add_argument("--checkpoint", type=Path, metavar="FILE",
                      help="persist each completed rung to a JSONL "
@@ -388,7 +376,6 @@ def _cmd_synthesize(args) -> int:
                                mip_rel_gap=args.mip_gap),
             options=SolveOptions(deadline_s=args.deadline,
                                  max_retries=args.max_retries,
-                                 warm_start=args.warm_start,
                                  failures=args.failures,
                                  parallel=args.parallel,
                                  checkpoint=(
@@ -494,8 +481,7 @@ def _cmd_localize(args) -> int:
             objective=args.objective,
             channel=instance.channel, k_star=args.k_star,
             options=SolveOptions(deadline_s=args.deadline,
-                                 max_retries=args.max_retries,
-                                 warm_start=args.warm_start),
+                                 max_retries=args.max_retries),
         )
     except AnalysisError as exc:
         _print_analysis_failure(exc)
@@ -630,7 +616,6 @@ def _cmd_kstar(args) -> int:
                 parallel=args.parallel,
                 deadline_s=args.deadline,
                 max_retries=args.max_retries,
-                warm_start=args.warm_start,
                 failures=args.failures,
                 checkpoint=args.checkpoint,
                 resume=bool(args.resume and args.checkpoint),

@@ -336,8 +336,6 @@ class JobRequest:
             # (the server's warm process-wide one), this transplants its
             # still-valid graph/Yen/ranking entries to the edited keys.
             prepare_cache(scenario, edited, deltas, cache)
-        if previous is not None:
-            opts = opts.replace(incremental=True)
         return edited.explore(
             objective=self.objective, cache=cache, options=opts,
             previous=previous,

@@ -124,13 +124,11 @@ class ExplorerBase(abc.ABC):
         Run the pre-solve static analyzer in :meth:`build` (default).
         Disable only to reproduce raw encoder/solver behaviour on inputs
         the analyzer would refuse.
-    warm_start:
-        Compute the greedy primal heuristic's feasible incumbent
-        (:mod:`repro.accel.warmstart`) before each solve and hand it to
-        the backend through ``Model.hints["warm_start"]``.  Setting the
-        :attr:`warm_start_architecture` attribute additionally lets a
-        caller (the kstar ladder) seed the heuristic with a previous
-        incumbent's topology.
+
+    Setting the :attr:`warm_start_architecture` attribute warm-starts
+    every later solve from that previous design
+    (:mod:`repro.accel.warmstart`): the start reaches the backend
+    through ``Model.hints["warm_start"]``.
     """
 
     def __init__(
@@ -141,16 +139,15 @@ class ExplorerBase(abc.ABC):
         solver=None,
         cache: EncodeCache | None = None,
         analyze: bool = True,
-        warm_start: bool = False,
     ) -> None:
         self.template = template
         self.library = library
         self.solver = solver or HighsSolver()
         self.cache = cache
         self.analyze = analyze
-        self.warm_start = warm_start
-        #: Optional previous incumbent whose topology seeds the greedy
-        #: heuristic (the kstar ladder chains rungs through this).
+        #: Previous design whose routes warm-start every solve (the
+        #: kstar ladder, the Pareto sweep and ``explore(previous=)``
+        #: set it); ``None`` solves cold.
         self.warm_start_architecture: Architecture | None = None
         #: Failure-pattern spec (``"k-link:1,walls"``-style string or a
         #: :class:`~repro.failures.patterns.FailuresSpec`); when set,
@@ -303,18 +300,16 @@ class ExplorerBase(abc.ABC):
     def _solve_built(self, built: BuiltProblem) -> Solution:
         """Run the solver on ``built``.
 
-        With ``warm_start`` armed the greedy start lands on the model's
-        hints first.
+        With a :attr:`warm_start_architecture` set, the start it seeds
+        lands on the model's hints first.
         """
-        if self.warm_start:
+        if self.warm_start_architecture is not None:
             from repro.accel.warmstart import (
                 attach_warm_start,
                 compute_warm_start,
             )
 
-            warm = compute_warm_start(
-                built, architecture=self.warm_start_architecture
-            )
+            warm = compute_warm_start(built, self.warm_start_architecture)
             if warm is not None:
                 attach_warm_start(built.model, warm)
         return self.solver.solve(built.model)
@@ -365,11 +360,9 @@ class DataCollectionExplorer(ExplorerBase):
         reach_k_star: int = 20,
         cache: EncodeCache | None = None,
         analyze: bool = True,
-        warm_start: bool = False,
     ) -> None:
         super().__init__(
-            template, library, solver=solver, cache=cache,
-            analyze=analyze, warm_start=warm_start,
+            template, library, solver=solver, cache=cache, analyze=analyze,
         )
         self.requirements = requirements
         self.encoder = encoder or ApproximatePathEncoder(k_star=10)
@@ -461,11 +454,9 @@ class AnchorPlacementExplorer(ExplorerBase):
         solver=None,
         cache: EncodeCache | None = None,
         analyze: bool = True,
-        warm_start: bool = False,
     ) -> None:
         super().__init__(
-            template, library, solver=solver, cache=cache,
-            analyze=analyze, warm_start=warm_start,
+            template, library, solver=solver, cache=cache, analyze=analyze,
         )
         self.requirement = requirement
         self.channel = channel

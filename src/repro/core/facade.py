@@ -51,7 +51,6 @@ def build_explorer(
     k_star: int | None = None,
     reach_k_star: int = 20,
     cache: EncodeCache | None = None,
-    warm_start: bool = False,
     failures: str | None = None,
     plan=None,
 ) -> ExplorerBase:
@@ -83,7 +82,7 @@ def build_explorer(
         return AnchorPlacementExplorer(
             template, library, requirements, channel,
             k_star=20 if k_star is None else k_star,
-            solver=solver, cache=cache, warm_start=warm_start,
+            solver=solver, cache=cache,
         )
     if isinstance(requirements, RequirementSet):
         if encoder is None:
@@ -95,7 +94,7 @@ def build_explorer(
         explorer = DataCollectionExplorer(
             template, library, requirements,
             encoder=encoder, solver=solver, channel=channel,
-            reach_k_star=reach_k_star, cache=cache, warm_start=warm_start,
+            reach_k_star=reach_k_star, cache=cache,
         )
         explorer.failures = failures
         explorer.floorplan = plan
@@ -163,10 +162,10 @@ def explore(
     verification sweep resumable (see docs/failures.md).
 
     ``previous`` supplies a prior solve's
-    :class:`~repro.core.results.Architecture` as the warm-start seed —
-    the incremental re-solve path (``options.incremental``, see
-    :mod:`repro.scenarios`) passes the unedited problem's solution here
-    alongside a cache pre-seeded from its compilation.
+    :class:`~repro.core.results.Architecture`; every solve warm-starts
+    from it (:mod:`repro.accel.warmstart`).  The incremental re-solve
+    path (:mod:`repro.scenarios`) passes the unedited problem's solution
+    here alongside a cache pre-seeded from its compilation.
     """
     opts = options if options is not None else DEFAULT_OPTIONS
     if (opts.checkpoint is not None or opts.resume) and opts.failures is None:
@@ -190,19 +189,13 @@ def explore(
     if resilient and not isinstance(solver, ResilientSolver):
         retry = opts.retry_policy() or RetryPolicy()
         solver = ResilientSolver(solver, budget=budget, retry=retry)
-    # Incremental mode warm-starts from the previous solution whenever
-    # one is supplied (the greedy seed still kicks in when it is not).
-    warm_start = opts.warm_start or (
-        opts.incremental and previous is not None
-    )
     explorer = build_explorer(
         template, library, requirements,
         encoder=encoder, solver=solver, channel=channel,
         k_star=k_star, reach_k_star=reach_k_star, cache=cache,
-        warm_start=warm_start, failures=opts.failures, plan=plan,
+        failures=opts.failures, plan=plan,
     )
-    if previous is not None and warm_start:
-        explorer.warm_start_architecture = previous
+    explorer.warm_start_architecture = previous
     if opts.failures is not None:
         explorer.failures_checkpoint = opts.checkpoint
         explorer.failures_resume = opts.resume

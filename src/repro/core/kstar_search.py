@@ -189,6 +189,9 @@ def kstar_search(
     the rungs are solved speculatively through the runtime and the stop
     rules applied afterwards — the outcome is identical to the
     sequential scan, rungs past the stop point are simply discarded.
+    A sequential scan warm-starts each rung from the last feasible
+    rung's design (:mod:`repro.accel.warmstart`); parallel rungs start
+    cold.
     ``options.deadline_s`` (or an explicit ``budget``) caps the ladder's
     wall clock; ``options.max_retries`` (or an explicit ``retry``
     policy) turns every rung's solver into a
@@ -218,10 +221,6 @@ def kstar_search(
         retry = opts.retry_policy()
     if opts.cache is False:
         cache = None
-    # Incremental re-solve rides the warm-start machinery: each rung
-    # seeds from the previous rung's incumbent exactly as warm_start
-    # does, on top of whatever cache entries the caller pre-seeded.
-    warm_start = opts.warm_start or opts.incremental
     failures = opts.failures
     ladder = tuple(ladder)
     with span(
@@ -244,7 +243,6 @@ def kstar_search(
             retry=retry,
             checkpoint=checkpoint,
             resume=resume,
-            warm_start=warm_start,
             failures=failures,
         )
         search_span.set_attributes(
@@ -269,7 +267,6 @@ def _kstar_search_impl(
     retry: RetryPolicy | None,
     checkpoint: str | Path | None,
     resume: bool,
-    warm_start: bool = False,
     failures: str | None = None,
 ) -> KStarSearchResult:
     ckpt: Checkpoint | None = None
@@ -326,7 +323,7 @@ def _kstar_search_impl(
             Trial(
                 _solve_rung,
                 (make_explorer, k, objective, cache, budget, retry,
-                 warm_start, failures),
+                 failures),
                 label=f"kstar:K={k}",
             )
             for k in pending
@@ -359,7 +356,7 @@ def _kstar_search_impl(
             # Sequential rungs chain incumbents: each rung's feasible
             # architecture seeds the next rung's warm start (the K*-pool
             # only grows along the ladder, so the previous design stays
-            # expressible).  Parallel rungs race concurrently and cannot
+            # expressible).  Parallel rungs race concurrently and never
             # chain.
             previous = None
             for k in ladder:
@@ -370,7 +367,7 @@ def _kstar_search_impl(
                     deadline_hit = True
                     return
                 trial = _solve_rung(make_explorer, k, objective, cache,
-                                    budget, retry, warm_start, failures,
+                                    budget, retry, failures,
                                     previous_architecture=previous)
                 if trial.result.feasible:
                     previous = getattr(trial.result, "architecture", None)
@@ -404,7 +401,6 @@ def _solve_rung(
     cache: EncodeCache | None,
     budget: DeadlineBudget | None = None,
     retry: RetryPolicy | None = None,
-    warm_start: bool = False,
     failures: str | None = None,
     previous_architecture=None,
 ) -> KStarTrial:
@@ -416,9 +412,7 @@ def _solve_rung(
             # Every rung solves failure-aware; the rung's own floorplan
             # (set by make_explorer) feeds the geometric families.
             explorer.failures = failures
-        if warm_start and not getattr(explorer, "warm_start", False):
-            explorer.warm_start = True
-        if previous_architecture is not None and warm_start:
+        if previous_architecture is not None:
             explorer.warm_start_architecture = previous_architecture
         if budget is not None or retry is not None:
             explorer.solver = _resilient(explorer.solver, budget, retry)

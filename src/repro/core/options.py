@@ -52,17 +52,6 @@ class SolveOptions:
     trace: str | None = None
     #: Prometheus-text metrics target, consumed by the transport.
     metrics: str | None = None
-    #: Seed every exact solve with the greedy primal heuristic's
-    #: feasible topology (:mod:`repro.accel`); in the kstar ladder each
-    #: rung additionally reuses the previous rung's incumbent.
-    warm_start: bool = False
-    #: Incremental re-solve mode (:mod:`repro.scenarios`): the caller is
-    #: re-solving a small edit of a previously solved problem, so the
-    #: entry points seed the shared cache from the prior compilation and
-    #: warm-start from the prior solution (``previous=`` on
-    #: :func:`repro.explore` / the scenario job kind).  Implies
-    #: ``warm_start`` wherever a previous architecture is supplied.
-    incremental: bool = False
     #: Failure-pattern spec for failure-aware synthesis, e.g.
     #: ``"k-link:1,walls"`` (grammar in
     #: :func:`repro.failures.parse_failures_spec`).  When set, every

@@ -162,7 +162,10 @@ def explore_pareto(
     ``options.parallel > 1`` (or an explicit ``runner``) the budget
     solves run concurrently; the front is identical either way because
     each budget is an independent MILP.  The default runner uses threads
-    so the explorer's encode cache is shared across sweep points.
+    so the explorer's encode cache is shared across sweep points.  A
+    sequential sweep warm-starts each point from the previous point's
+    design (:mod:`repro.accel.warmstart`); the extremes, the first point
+    and parallel points start cold.
 
     ``options.deadline_s`` (or an explicit ``budget``) bounds the whole
     sweep; points the deadline cuts off are omitted from the front (and
@@ -218,17 +221,13 @@ def explore_pareto(
                 )
 
     original_solver = explorer.solver
-    original_warm_start = getattr(explorer, "warm_start", False)
     original_failures = getattr(explorer, "failures", None)
     original_seed = getattr(explorer, "warm_start_architecture", None)
     if budget is not None or retry is not None:
         explorer.solver = _resilient(original_solver, budget, retry)
-    if opts.warm_start or opts.incremental:
-        # Incremental mode rides the warm-start machinery: sweep points
-        # re-use the caller's pre-seeded cache, and sequential sweeps
-        # additionally chain each point's architecture into the next
-        # solve's MILP warm start.
-        explorer.warm_start = True
+    # The extremes and the first point solve cold; a sequential sweep
+    # then chains each point's design into the next point's warm start.
+    explorer.warm_start_architecture = None
     if opts.failures is not None and original_failures is None:
         # Every front point solves failure-aware; the explorer's own
         # floorplan attribute feeds the geometric families.
@@ -251,7 +250,6 @@ def explore_pareto(
             return front
     finally:
         explorer.solver = original_solver
-        explorer.warm_start = original_warm_start
         explorer.failures = original_failures
         explorer.warm_start_architecture = original_seed
 
@@ -330,7 +328,7 @@ def _sweep(
             if budget is not None and budget.expired:
                 break  # deadline spent: leave the tail for a resume
             point = _solve_budget(explorer, primary, secondary, b)
-            if point is not None and getattr(explorer, "warm_start", False):
+            if point is not None:
                 # Adjacent budgets have similar optima: chain each
                 # solved point's architecture into the next solve.
                 arch = getattr(point.result, "architecture", None)

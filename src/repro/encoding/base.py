@@ -40,8 +40,8 @@ class SelectionBlock:
 
     Only the approximate encoder fills these (the full encoding has no
     enumerated pool to select from).  They are the structural handle the
-    greedy primal heuristic (:mod:`repro.accel.warmstart`) needs: it
-    picks pool members directly.
+    warm start (:mod:`repro.accel.warmstart`) needs: it replays a
+    previous design's routes as pool members.
     """
 
     req: RouteRequirement

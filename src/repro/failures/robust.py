@@ -23,10 +23,9 @@ crosses the failed wall, say) is *structurally uncoverable* at this
 ``k_star``: it is reported as a WARNING diagnostic instead of making the
 model infeasible — raise ``k_star`` or add relay candidates to fix it.
 
-Rounds chain the PR 8 warm start: each round seeds the greedy heuristic
-with the previous round's architecture (the candidate pools never
-shrink, so the previous design stays expressible whenever it survives
-the new rows).
+Rounds do not chain warm starts: a round adds rows for patterns the
+previous round's design fails, and those rows cut off its routes, so a
+replay of them gives no start.
 """
 
 from __future__ import annotations
@@ -151,89 +150,77 @@ def robust_solve(
         architecture: Architecture | None = None
         terms: dict[str, float] = {}
         solve_seconds = 0.0
-        saved_seed = explorer.warm_start_architecture
         rounds = 0
-        try:
-            for round_no in range(1, spec.rounds + 1):
-                rounds = round_no
-                counter("failures.robust_rounds").inc()
-                solution = explorer._solve_built(built)
-                solve_seconds += solution.solve_time
-                stats.timings.add("solve", solution.solve_time)
-                if not solution.status.has_solution:
-                    architecture, terms = None, {}
+        for round_no in range(1, spec.rounds + 1):
+            rounds = round_no
+            counter("failures.robust_rounds").inc()
+            solution = explorer._solve_built(built)
+            solve_seconds += solution.solve_time
+            stats.timings.add("solve", solution.solve_time)
+            if not solution.status.has_solution:
+                architecture, terms = None, {}
+                break
+            architecture, terms = explorer._decode(solution, built)
+            assert architecture is not None
+            report = verify_patterns(
+                architecture, requirements, patterns,
+                parallel=getattr(explorer, "failures_parallel", 1),
+                checkpoint=getattr(explorer, "failures_checkpoint", None),
+                # Later rounds must re-open the sweep file in resume
+                # mode: appends preserve earlier stages' records, and
+                # stage namespacing keeps the replay scoped to this
+                # round's verdicts.
+                resume=(
+                    getattr(explorer, "failures_resume", False)
+                    or round_no > 1
+                ),
+                problem=problem,
+                stage=round_no,
+            )
+            report.rounds = round_no
+            report.uncoverable = sorted(uncoverable)
+            stats.timings.add("verify", report.total_seconds)
+            if report.survived_all:
+                break
+            added = 0
+            for verdict in report.critical_patterns:
+                if added >= spec.worst:
                     break
-                architecture, terms = explorer._decode(solution, built)
-                assert architecture is not None
-                report = verify_patterns(
-                    architecture, requirements, patterns,
-                    parallel=getattr(explorer, "failures_parallel", 1),
-                    checkpoint=getattr(
-                        explorer, "failures_checkpoint", None
-                    ),
-                    # Later rounds must re-open the sweep file in
-                    # resume mode: appends preserve earlier stages'
-                    # records, and stage namespacing keeps the replay
-                    # scoped to this round's verdicts.
-                    resume=(
-                        getattr(explorer, "failures_resume", False)
-                        or round_no > 1
-                    ),
-                    problem=problem,
-                    stage=round_no,
-                )
-                report.rounds = round_no
-                report.uncoverable = sorted(uncoverable)
-                stats.timings.add("verify", report.total_seconds)
-                if report.survived_all:
-                    break
-                added = 0
-                for verdict in report.critical_patterns:
-                    if added >= spec.worst:
-                        break
-                    pid = verdict.pattern_id
-                    if pid in cut or pid in uncoverable:
-                        continue
-                    pattern = next(
-                        p for p in patterns if p.pattern_id == pid
-                    )
-                    rows = survivability_rows(built, pattern)
-                    if rows is None:
-                        uncoverable.add(pid)
-                        report.uncoverable = sorted(uncoverable)
-                        extra_diagnostics.append(Diagnostic(
-                            rule_id="failures.uncoverable",
-                            severity=Severity.WARNING,
-                            message=(
-                                f"no candidate pool survives pattern "
-                                f"{pid} ({pattern.label}); the robust "
-                                f"re-solve cannot cover it"
-                            ),
-                            location=f"pattern {pid}",
-                            hint=(
-                                "raise k_star (a larger candidate pool "
-                                "may contain a surviving path) or add "
-                                "relay candidates around the failed "
-                                "region"
-                            ),
-                            data={"pattern": pattern.to_dict()},
-                        ))
-                        continue
-                    for name, row in rows:
-                        built.model.add(row, name=name)
-                    cut.add(pid)
-                    added += 1
-                if added == 0:
-                    # Every violated pattern is uncoverable (or already
-                    # cut, which a fresh solve cannot change): fixpoint.
-                    break
-                counter("failures.patterns_cut").inc(added)
-                if explorer.warm_start:
-                    # Chain the previous round's design into the next
-                    # round's greedy seed (the PR 8 ladder idiom).
-                    explorer.warm_start_architecture = architecture
-        finally:
-            explorer.warm_start_architecture = saved_seed
+                pid = verdict.pattern_id
+                if pid in cut or pid in uncoverable:
+                    continue
+                pattern = next(p for p in patterns if p.pattern_id == pid)
+                rows = survivability_rows(built, pattern)
+                if rows is None:
+                    uncoverable.add(pid)
+                    report.uncoverable = sorted(uncoverable)
+                    extra_diagnostics.append(Diagnostic(
+                        rule_id="failures.uncoverable",
+                        severity=Severity.WARNING,
+                        message=(
+                            f"no candidate pool survives pattern "
+                            f"{pid} ({pattern.label}); the robust "
+                            f"re-solve cannot cover it"
+                        ),
+                        location=f"pattern {pid}",
+                        hint=(
+                            "raise k_star (a larger candidate pool "
+                            "may contain a surviving path) or add "
+                            "relay candidates around the failed "
+                            "region"
+                        ),
+                        data={"pattern": pattern.to_dict()},
+                    ))
+                    continue
+                for name, row in rows:
+                    built.model.add(row, name=name)
+                cut.add(pid)
+                added += 1
+            if added == 0:
+                # Every violated pattern is uncoverable (or already cut,
+                # which a fresh solve cannot change): fixpoint.
+                break
+            counter("failures.patterns_cut").inc(added)
 
         assert solution is not None
         diagnostics: list[Diagnostic] = []

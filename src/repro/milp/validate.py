@@ -1,8 +1,8 @@
 """Assignment validation shared by the solver backends.
 
 A warm start arriving through ``Model.hints["warm_start"]`` is advisory:
-the producer (greedy heuristic, previous solve) may be wrong, stale, or
-in the wrong variable space.  Both backends run
+the producer (a replay of a previous design, or any caller) may be
+wrong, stale, or in the wrong variable space.  Both backends run
 the candidate through :func:`check_assignment` before adopting it as an
 incumbent, so a bad hint can cost a warm start but never correctness.
 :func:`warm_start_incumbent` is the last resort of a solve that ends

@@ -23,7 +23,6 @@ built from them — stay exactly as before.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -184,23 +183,3 @@ _NULL_TIMINGS = _NullTimings()
 def timings_of(stats: RunStats | None):
     """The stats' timing sink, or a no-op sink when stats is ``None``."""
     return stats.timings if stats is not None else _NULL_TIMINGS
-
-
-class AtomicCounter:
-    """A tiny thread-safe counter (used by BatchRunner bookkeeping)."""
-
-    def __init__(self) -> None:
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def increment(self) -> int:
-        """Add one and return the new value."""
-        with self._lock:
-            self._value += 1
-            return self._value
-
-    @property
-    def value(self) -> int:
-        """Current value."""
-        with self._lock:
-            return self._value

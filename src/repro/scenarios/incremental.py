@@ -35,7 +35,6 @@ certificate, only reuse does.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any
 
 from repro.core.options import SolveOptions
@@ -141,18 +140,15 @@ def incremental_resolve(
     """Solve the edited scenario, reusing the old solve's compilation.
 
     ``cache`` should be the old solve's cache; ``previous`` the old
-    architecture (fed to the MILP as a warm start via
-    ``SolveOptions.incremental``).  The result is exact: transplanted
-    entries are provably identical to what a cold solve would compute,
-    and the warm start only changes where the solver starts, not where
-    it stops.
+    architecture (the MILP warm-starts from it).  The result is exact:
+    transplanted entries are provably identical to what a cold solve
+    would compute, and the warm start only changes where the solver
+    starts, not where it stops.
     """
     cache = cache if cache is not None else EncodeCache()
-    opts = replace(options if options is not None else SolveOptions(),
-                   incremental=True)
     prepare_cache(old, new, deltas, cache)
     return new.explore(
-        cache=cache, options=opts, previous=previous, solver=solver
+        cache=cache, options=options, previous=previous, solver=solver
     )
 
 

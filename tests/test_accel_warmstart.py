@@ -1,15 +1,19 @@
-"""The greedy primal warm start and both backends' hint contracts."""
+"""The warm start from a previous design and both backends' hint contracts."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import repro
 from repro.accel import WarmStart, attach_warm_start, compute_warm_start
-from repro.accel.warmstart import greedy_selection, selection_from_architecture
+from repro.accel.warmstart import _structure_fixes, selection_from_architecture
 from repro.core.explorer import DataCollectionExplorer
 from repro.encoding.approximate import ApproximatePathEncoder
 from repro.encoding.base import SelectionBlock
 from repro.library import default_catalog
 from repro.milp import BranchAndBoundSolver, HighsSolver, Model, SolveStatus
+from repro.milp.validate import check_assignment
 from repro.network import (
     LinkQualityRequirement,
     RequirementSet,
@@ -31,14 +35,17 @@ def problem():
     return instance, reqs
 
 
+def explorer_for(problem, k_star):
+    instance, reqs = problem
+    return DataCollectionExplorer(
+        instance.template, default_catalog(), reqs,
+        encoder=ApproximatePathEncoder(k_star=k_star),
+    )
+
+
 @pytest.fixture(scope="module")
 def built(problem):
-    instance, reqs = problem
-    explorer = DataCollectionExplorer(
-        instance.template, default_catalog(), reqs,
-        encoder=ApproximatePathEncoder(k_star=5),
-    )
-    return explorer.build("cost")
+    return explorer_for(problem, 5).build("cost")
 
 
 def block_of(req, *paths):
@@ -46,34 +53,26 @@ def block_of(req, *paths):
     return SelectionBlock(req=req, pool=pool, pick=[])
 
 
-class TestGreedySelection:
-    def test_cheapest_first(self):
-        req = RouteRequirement(source=0, dest=9, replicas=1)
-        block = block_of(
-            req,
-            ((0, 1, 2, 9), 10.0),
-            ((0, 9), 50.0),        # fewest hops wins despite the loss
-            ((0, 3, 9), 5.0),
-        )
-        assert greedy_selection(block) == [1]
+@pytest.fixture(scope="module")
+def previous(problem):
+    """A design solved on smaller pools, as the kstar ladder chains it."""
+    result = explorer_for(problem, 3).solve("cost")
+    assert result.feasible
+    return result.architecture
 
-    def test_disjoint_skips_conflicting_candidates(self):
-        req = RouteRequirement(source=0, dest=9, replicas=2, disjoint=True)
-        block = block_of(
-            req,
-            ((0, 9), 1.0),
-            ((0, 1, 9), 2.0),
-            ((0, 1, 2, 9), 3.0),   # shares (0,1) with the second path
-        )
-        chosen = greedy_selection(block)
-        assert chosen is not None
-        picked = [set(block.pool[k].edges) for k in chosen]
-        assert not picked[0] & picked[1]
 
-    def test_impossible_replicas_returns_none(self):
-        req = RouteRequirement(source=0, dest=9, replicas=3)
-        block = block_of(req, ((0, 9), 1.0), ((0, 1, 9), 2.0))
-        assert greedy_selection(block) is None
+@pytest.fixture(scope="module")
+def warm(built, previous):
+    warm = compute_warm_start(built, previous)
+    assert warm is not None
+    return warm
+
+
+def without_routes(architecture, source, dest):
+    """A copy of ``architecture`` that lost its ``source -> dest`` routes."""
+    return dataclasses.replace(architecture, routes=[
+        r for r in architecture.routes if (r.source, r.dest) != (source, dest)
+    ])
 
 
 class TestSelectionFromArchitecture:
@@ -104,13 +103,8 @@ class TestSelectionFromArchitecture:
 
 
 class TestComputeWarmStart:
-    def test_produces_a_certified_feasible_start(self, built):
-        warm = compute_warm_start(built)
-        assert warm is not None
-        assert warm.source == "greedy"
+    def test_produces_a_certified_feasible_start(self, built, warm):
         # Certified: re-check against the standard form independently.
-        from repro.milp.validate import check_assignment
-
         form = built.model.to_standard_form()
         check = check_assignment(form, warm.x)
         assert check.ok
@@ -118,24 +112,52 @@ class TestComputeWarmStart:
             check.objective + built.model.objective.constant
         )
 
-    def test_start_is_no_better_than_the_optimum(self, built):
-        warm = compute_warm_start(built)
+    def test_start_is_no_better_than_the_optimum(self, built, warm):
         cold = HighsSolver().solve(built.model)
         assert cold.status is SolveStatus.OPTIMAL
         assert warm.objective >= cold.objective - 1e-6
 
-    def test_attach_payload_shape(self, built):
-        warm = compute_warm_start(built)
+    def test_attach_payload_shape(self, built, warm):
         attach_warm_start(built.model, warm)
         payload = built.model.hints["warm_start"]
         assert set(payload) == {"x", "objective", "source"}
         assert payload["objective"] == pytest.approx(warm.objective)
+        assert payload["source"] == "previous-incumbent"
         built.model.hints.pop("warm_start")
+
+    def test_block_missing_from_its_pool_stays_free(self, built, previous):
+        block = built.encoding.selection[0]
+        partial = without_routes(
+            previous, block.req.source, block.req.dest
+        )
+        fixes = _structure_fixes(built, partial)
+        assert fixes is not None
+        # The block the design cannot replay keeps its picks free ...
+        assert not {var.index for var in block.pick} & set(fixes)
+        # ... and so do the links only its candidates could use.
+        replayed = {
+            edge for route in partial.routes for edge in route.edges
+        }
+        free = {
+            built.encoding.edge_active[edge].index
+            for path in block.pool for edge in path.edges
+            if edge not in replayed
+        }
+        assert free and not free & set(fixes)
+        # The restricted solve routes that block itself: still a
+        # certified start.
+        warm = compute_warm_start(built, partial)
+        assert warm is not None
+        assert check_assignment(built.model.to_standard_form(), warm.x).ok
+
+    def test_no_replayable_block_gives_no_start(self, built, previous):
+        assert compute_warm_start(
+            built, dataclasses.replace(previous, routes=[])
+        ) is None
 
 
 class TestBranchAndBoundWarmStart:
-    def test_accepted_and_objective_unchanged(self, built):
-        warm = compute_warm_start(built)
+    def test_accepted_and_objective_unchanged(self, built, warm):
         cold = BranchAndBoundSolver(time_limit=120).solve(built.model)
         attach_warm_start(built.model, warm)
         try:
@@ -144,7 +166,7 @@ class TestBranchAndBoundWarmStart:
             built.model.hints.pop("warm_start")
         info = sol.extra["warm_start"]
         assert info["status"] == "accepted"
-        assert info["source"] == "greedy"
+        assert info["source"] == "previous-incumbent"
         assert info["objective"] == pytest.approx(warm.objective)
         assert sol.objective == pytest.approx(cold.objective)
 
@@ -188,13 +210,14 @@ class TestHighsWarmStart:
         # the verdict says so; it never silently vanishes.
         m = _cover_model()
         m.hints["warm_start"] = {
-            "x": np.array([1.0, 0.0]), "objective": 1.0, "source": "greedy",
+            "x": np.array([1.0, 0.0]), "objective": 1.0,
+            "source": "previous-incumbent",
         }
         sol = HighsSolver().solve(m)
         info = sol.extra["warm_start"]
         assert info["status"] == "accepted"
         assert info["mechanism"] == "objective_cutoff"
-        assert info["source"] == "greedy"
+        assert info["source"] == "previous-incumbent"
         assert sol.objective == pytest.approx(1.0)
 
     def test_cutoff_at_the_exact_optimum_is_not_cut_away(self):
@@ -235,7 +258,8 @@ class TestStartAtTheLimit:
         # still leaves the start the backend validated: a usable design.
         m = _cover_model()
         m.hints["warm_start"] = {
-            "x": np.array([0.0, 1.0]), "objective": 2.0, "source": "greedy",
+            "x": np.array([0.0, 1.0]), "objective": 2.0,
+            "source": "previous-incumbent",
         }
         sol = backend(time_limit=0.0).solve(m)
         assert sol.status is SolveStatus.FEASIBLE
@@ -246,22 +270,24 @@ class TestStartAtTheLimit:
 
 
 class TestExplorerIntegration:
-    def test_warm_start_preserves_the_objective(self, problem):
-        instance, reqs = problem
-        cold = DataCollectionExplorer(
-            instance.template, default_catalog(), reqs,
-            encoder=ApproximatePathEncoder(k_star=5),
-        ).solve("cost")
-        warm = DataCollectionExplorer(
-            instance.template, default_catalog(), reqs,
-            encoder=ApproximatePathEncoder(k_star=5), warm_start=True,
-        ).solve("cost")
+    def test_warm_start_preserves_the_objective(self, problem, previous):
+        cold = explorer_for(problem, 5).solve("cost")
+        explorer = explorer_for(problem, 5)
+        explorer.warm_start_architecture = previous
+        warm = explorer.solve("cost")
+        assert warm.solution.extra["warm_start"]["status"] == "accepted"
         assert warm.feasible
         assert warm.objective_value == pytest.approx(cold.objective_value)
 
-    def test_warm_dataclass_is_frozen(self):
-        warm = WarmStart(
-            x=np.zeros(1), objective=0.0, source="greedy", seconds=0.0
+    def test_explore_previous_warm_starts_by_default(self, problem, previous):
+        instance, reqs = problem
+        result = repro.explore(
+            instance.template, default_catalog(), reqs, k_star=5,
+            previous=previous,
         )
+        assert result.solution.extra["warm_start"]["status"] == "accepted"
+
+    def test_warm_dataclass_is_frozen(self):
+        warm = WarmStart(x=np.zeros(1), objective=0.0, seconds=0.0)
         with pytest.raises(AttributeError):
             warm.objective = 1.0

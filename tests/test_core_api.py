@@ -73,6 +73,11 @@ class TestJobRequestWire:
             JobRequest.from_dict(
                 {"kind": "kstar", "options": {"presolve": "reduce"}}
             )
+        for deleted in ("warm_start", "incremental"):
+            with pytest.raises(ValueError, match="unknown option field"):
+                JobRequest.from_dict(
+                    {"kind": "kstar", "options": {deleted: True}}
+                )
 
 
 class TestJobRequestRun:

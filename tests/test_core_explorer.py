@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DataCollectionExplorer, AnchorPlacementExplorer
 from repro.encoding import ApproximatePathEncoder, FullPathEncoder
-from repro.milp import BranchAndBoundSolver, HighsSolver, SolveStatus
+from repro.milp import BranchAndBoundSolver, SolveStatus
 from repro.network import RequirementSet
 from repro.validation import validate
 

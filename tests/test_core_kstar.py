@@ -181,10 +181,7 @@ class TestIncumbentChaining:
             seen.append(explorer)
             return explorer
 
-        result = kstar_search(
-            recording_factory, ladder=(1, 3, 5),
-            options=SolveOptions(warm_start=True),
-        )
+        result = kstar_search(recording_factory, ladder=(1, 3, 5))
         assert result.best is not None
         # The first rung starts cold; every later rung was seeded with
         # the previous rung's feasible architecture.
@@ -196,24 +193,29 @@ class TestIncumbentChaining:
                 )
 
     def test_chained_objectives_match_the_cold_ladder(self, problem):
-        ladder = (1, 3, 5)
-        cold = kstar_search(make_factory(problem), ladder=ladder)
-        warm = kstar_search(
-            make_factory(problem), ladder=ladder,
-            options=SolveOptions(warm_start=True),
-        )
-        assert [t.objective for t in warm.trials] == pytest.approx(
-            [t.objective for t in cold.trials]
-        )
-
-    def test_no_chaining_without_the_accel_flags(self, problem):
-        seen = []
         factory = make_factory(problem)
+        warm = kstar_search(factory, ladder=(1, 3, 5))
+        cold = [factory(t.k_star).solve("cost") for t in warm.trials]
+        assert [t.objective for t in warm.trials] == pytest.approx(
+            [r.objective_value for r in cold]
+        )
 
-        def recording_factory(k):
-            explorer = factory(k)
-            seen.append(explorer)
-            return explorer
+    def test_sequential_rungs_warm_start_by_default(self, problem):
+        result = kstar_search(make_factory(problem), ladder=(1, 3, 5))
+        assert len(result.trials) > 1
+        first, *later = result.trials
+        assert "warm_start" not in first.result.solution.extra
+        for trial in later:
+            info = trial.result.solution.extra["warm_start"]
+            assert info["status"] == "accepted"
 
-        kstar_search(recording_factory, ladder=(1, 3))
-        assert all(e.warm_start_architecture is None for e in seen)
+    def test_parallel_rungs_never_chain(self, problem):
+        result = kstar_search(
+            make_factory(problem), ladder=(1, 3, 5),
+            options=SolveOptions(parallel=2), cache=EncodeCache(),
+        )
+        assert len(result.trials) > 1
+        assert all(
+            "warm_start" not in t.result.solution.extra
+            for t in result.trials
+        )

@@ -14,19 +14,30 @@ class TestSolveOptions:
         assert opts.parallel == 1
         assert opts.cache is True
         assert opts.resume is False
-        assert opts.warm_start is False
         assert opts == DEFAULT_OPTIONS
 
     def test_accel_flags_round_trip(self):
-        opts = SolveOptions(warm_start=True)
-        assert SolveOptions.from_dict(opts.to_dict()) == opts
-        assert opts.to_dict()["warm_start"] is True
+        # No accelerator switch is left on the wire: a warm start
+        # follows from a previous design alone, so a round trip carries
+        # none, and a payload that still names one is refused.
+        opts = SolveOptions(parallel=2, cache=False)
+        payload = opts.to_dict()
+        assert "warm_start" not in payload
+        assert SolveOptions.from_dict(payload) == opts
+        with pytest.raises(ValueError, match="unknown option"):
+            SolveOptions.from_dict({**payload, "warm_start": True})
 
     def test_incremental_flag_round_trips(self):
-        assert SolveOptions().incremental is False
-        opts = SolveOptions(incremental=True)
-        assert SolveOptions.from_dict(opts.to_dict()) == opts
-        assert opts.to_dict()["incremental"] is True
+        # An incremental re-solve is signalled by ``previous=``, not by
+        # an options field: the options round-trip without one, and a
+        # payload that carries it is refused even at its old default.
+        opts = SolveOptions(deadline_s=3.0)
+        payload = opts.to_dict()
+        assert "incremental" not in payload
+        assert not hasattr(opts, "incremental")
+        assert SolveOptions.from_dict(payload) == opts
+        with pytest.raises(ValueError, match="unknown option"):
+            SolveOptions.from_dict({**payload, "incremental": False})
 
     @pytest.mark.parametrize("bad", [
         {"deadline_s": -1.0},
@@ -60,6 +71,11 @@ class TestSolveOptions:
             SolveOptions.from_dict({"lazy_cuts": False})
         with pytest.raises(ValueError, match="unknown option"):
             SolveOptions.from_dict({"presolve": "off"})
+        # A previous design is the only warm-start switch.
+        with pytest.raises(ValueError, match="unknown option"):
+            SolveOptions.from_dict({"warm_start": True})
+        with pytest.raises(ValueError, match="unknown option"):
+            SolveOptions.from_dict({"incremental": True})
 
     def test_derived_runtime_objects(self):
         opts = SolveOptions(deadline_s=5.0, max_retries=3)

@@ -301,7 +301,7 @@ class TestWarmStartDegradation:
         m.add(x >= 1, "pin")
         m.minimize(2 * x)
         m.hints["warm_start"] = {
-            "x": [1.0], "objective": 2.0, "source": "greedy",
+            "x": [1.0], "objective": 2.0, "source": "previous-incumbent",
         }
         return m
 
@@ -314,7 +314,7 @@ class TestWarmStartDegradation:
         assert solution.status is SolveStatus.FEASIBLE
         assert solution.objective == pytest.approx(2.0)
         assert solution.extra["degraded_to_warm_start"] is True
-        assert "greedy" in solution.message
+        assert "previous-incumbent" in solution.message
         assert solution.extra["solve_attempts"][-1].degraded
 
     def test_stale_hint_never_degrades_to_a_wrong_answer(self):

@@ -4,7 +4,7 @@
 from repro.core import DataCollectionExplorer
 from repro.failures import analyze_resiliency
 from repro.library import default_catalog
-from repro.network import Architecture, RequirementSet, Route, small_grid_template
+from repro.network import Architecture, Route
 
 
 def hand_built(instance):

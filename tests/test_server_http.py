@@ -13,8 +13,6 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-import pytest
-
 from repro.server.http import HttpFrontend
 from repro.server.service import SynthesisService
 from repro.telemetry.schema import check_tree, validate_record

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DataCollectionExplorer
-from repro.network import Architecture, Route, small_grid_template
+from repro.network import Route
 from repro.network.requirements import (
     LifetimeRequirement,
     LinkQualityRequirement,

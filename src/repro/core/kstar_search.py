@@ -36,13 +36,15 @@ Resilience (see :mod:`repro.resilience` and docs/robustness.md):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.core.explorer import ExplorerBase
 from repro.core.options import DEFAULT_OPTIONS, SolveOptions
 from repro.core.results import SynthesisResult
+from repro.failures.robust import round_without_design
+from repro.milp.solution import SolveStatus
 from repro.resilience.checkpoint import (
     Checkpoint,
     RestoredResult,
@@ -416,7 +418,18 @@ def _solve_rung(
             explorer.warm_start_architecture = previous_architecture
         if budget is not None or retry is not None:
             explorer.solver = _resilient(explorer.solver, budget, retry)
-        trial = KStarTrial(k_star=k, result=explorer.solve(objective))
+        result = explorer.solve(objective)
+        if (
+            getattr(explorer, "failures", None) is not None
+            and round_without_design(result)
+        ):
+            # The patterns cannot all be covered at this K*: score the
+            # rung as infeasible so the ladder climbs on.
+            result = replace(
+                result, status=SolveStatus.INFEASIBLE, architecture=None,
+                objective_terms={},
+            )
+        trial = KStarTrial(k_star=k, result=result)
         rung_span.set_attributes(
             feasible=trial.result.feasible, objective=trial.objective
         )

@@ -463,8 +463,9 @@ def _solve_budget_robust(
 ) -> ParetoPoint | None:
     """The epsilon-constraint solve under failure-aware synthesis: the
     robust re-solve loop runs with the secondary budget row in the model
-    from the first round, so every front point is pattern-survivable."""
-    from repro.failures.robust import robust_solve
+    from the first round, so every front point is pattern-survivable; a
+    budget whose robust rounds end without a design is skipped."""
+    from repro.failures.robust import robust_solve, round_without_design
 
     with span("pareto.point", budget=budget, failures=True) as point_span:
         result = robust_solve(
@@ -475,7 +476,7 @@ def _solve_budget_robust(
             ),
         )
         point_span.set_attribute("status", result.status.name)
-        if not result.feasible:
+        if not result.feasible or round_without_design(result):
             return None
         return ParetoPoint(
             primary=result.objective_terms[primary],

@@ -245,6 +245,7 @@ class ApproximatePathEncoder(RoutingEncoder):
             graph, graph_key = self._working_graph(template, cache, stats)
             sparse, sparse_key = self._sparsified(graph, graph_key, cache, stats)
         yen_on = self._yen_routine(cache, stats, timings)
+        fixed = {node.id for node in template.nodes if node.fixed}
         blocks: list[SelectionBlock] = []
         edge_uses: dict[Edge, list[Var]] = {}
         path_var_count = 0
@@ -275,6 +276,10 @@ class ApproximatePathEncoder(RoutingEncoder):
             )
             if req.disjoint and req.replicas >= 1:
                 self._add_disjointness_rows(model, req_index, pool, pick)
+            if req.replicas == 1:
+                self._add_hull_rows(
+                    model, req_index, pool, pick, node_used, fixed
+                )
             for path, var in zip(pool, pick):
                 for edge in path.edges:
                     edge_uses.setdefault(edge, []).append(var)
@@ -363,6 +368,48 @@ class ApproximatePathEncoder(RoutingEncoder):
                     lin_sum(vars_on_edge) <= 1,
                     f"p{req_index}:edgedisj[{u},{v}]",
                 )
+
+    @staticmethod
+    def _add_hull_rows(
+        model: Model,
+        req_index: int,
+        pool: list[CandidatePath],
+        pick: list[Var],
+        node_used: dict[int, Var],
+        fixed: set[int],
+    ) -> None:
+        """Disjunctive-hull rows of a single-path selection.
+
+        The select row alone ties a relay to its candidates only through
+        ``alpha >= e >= y_k``, so an LP that spreads ``y`` over the pool
+        places a relay shared by m candidates at ``1/K`` instead of
+        ``m/K``.  A continuous choice ``z`` with ``sum z == 1`` and
+        ``z_k <= y_k`` charges every shared optional node
+        ``alpha_v >= sum_{k on v} z_k``.  Setting ``z`` to any one selected
+        candidate satisfies the rows, so they cut off no design: extra
+        selected candidates stay feasible.  Only nodes on two or more
+        candidates get a row; a block without one gets nothing.
+        """
+        on_node: dict[int, list[int]] = {}
+        for k, path in enumerate(pool):
+            for node in path.nodes:
+                if node not in fixed:
+                    on_node.setdefault(node, []).append(k)
+        shared = {v: ks for v, ks in on_node.items() if len(ks) > 1}
+        if not shared:
+            return
+        hull = [
+            model.continuous(f"z[p{req_index}][{k}]", 0.0, 1.0)
+            for k in range(len(pool))
+        ]
+        model.add(lin_sum(hull) == 1, f"p{req_index}:hull")
+        for k, (z, y) in enumerate(zip(hull, pick)):
+            model.add(z <= y, f"p{req_index}:hull[{k}]")
+        for v, ks in shared.items():
+            model.add(
+                node_used[v] >= lin_sum([hull[k] for k in ks]),
+                f"p{req_index}:hull_alpha[{v}]",
+            )
 
 
 def _decode(solution: Solution, blocks: list[SelectionBlock]) -> list[Route]:

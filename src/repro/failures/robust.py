@@ -22,6 +22,13 @@ A pattern some requirement's pool cannot survive at all (every candidate
 crosses the failed wall, say) is *structurally uncoverable* at this
 ``k_star``: it is reported as a WARNING diagnostic instead of making the
 model infeasible — raise ``k_star`` or add relay candidates to fix it.
+Patterns that are coverable one at a time can still be uncoverable
+together: a round whose new rows make the model infeasible ends the loop
+on the previous round's design, with a WARNING naming the patterns it
+cut.  That design does not survive them, so the Pareto and K* sweeps
+(:func:`round_without_design`) score such a solve as infeasible.  A
+round the solver gives up on (timeout, error) ends the loop with that
+status and no design.
 
 Rounds do not chain warm starts: a round adds rows for patterns the
 previous round's design fails, and those rows cut off its routes, so a
@@ -45,7 +52,7 @@ from repro.failures.patterns import (
 from repro.failures.report import SurvivabilityReport
 from repro.failures.sweep import verify_patterns
 from repro.milp.expr import Constraint, lin_sum
-from repro.milp.solution import Solution
+from repro.milp.solution import Solution, SolveStatus
 from repro.telemetry.metrics import counter
 from repro.telemetry.trace import span
 
@@ -84,6 +91,40 @@ def survivability_rows(
         )
         rows.append((name, lin_sum(surviving) >= 1))
     return rows
+
+
+#: Rule id of the warning a robust solve carries when it returned an
+#: earlier round's design because a later round was infeasible.
+ROUND_WITHOUT_DESIGN = "failures.round-without-design"
+
+
+def round_without_design(result: SynthesisResult) -> bool:
+    """Whether ``result`` ended on an earlier round's design because the
+    rows of the patterns cut after it left no design: it does not
+    survive those patterns."""
+    return any(d.rule_id == ROUND_WITHOUT_DESIGN for d in result.diagnostics)
+
+
+def _round_without_design_warning(
+    round_no: int, patterns: list[str],
+) -> Diagnostic:
+    """The warning for an infeasible round after one with a design."""
+    return Diagnostic(
+        rule_id=ROUND_WITHOUT_DESIGN,
+        severity=Severity.WARNING,
+        message=(
+            f"round {round_no} is infeasible once the rows of pattern(s) "
+            f"{', '.join(patterns)} are added; the result is round "
+            f"{round_no - 1}'s design"
+        ),
+        location=f"round {round_no}",
+        hint=(
+            "no design meets these patterns' survivability rows together "
+            "at this k_star: raise k_star or add relay candidates around "
+            "them"
+        ),
+        data={"round": round_no, "patterns": patterns},
+    )
 
 
 def robust_solve(
@@ -151,13 +192,28 @@ def robust_solve(
         terms: dict[str, float] = {}
         solve_seconds = 0.0
         rounds = 0
+        last_cut: list[str] = []
         for round_no in range(1, spec.rounds + 1):
-            rounds = round_no
             counter("failures.robust_rounds").inc()
-            solution = explorer._solve_built(built)
-            solve_seconds += solution.solve_time
-            stats.timings.add("solve", solution.solve_time)
+            round_solution = explorer._solve_built(built)
+            solve_seconds += round_solution.solve_time
+            stats.timings.add("solve", round_solution.solve_time)
+            if (
+                round_solution.status is SolveStatus.INFEASIBLE
+                and solution is not None
+            ):
+                # Only this round's rows failed: the previous round's
+                # design, terms, report and model stand.
+                extra_diagnostics.append(
+                    _round_without_design_warning(round_no, last_cut)
+                )
+                break
+            rounds = round_no
+            solution = round_solution
+            model_stats = built.model.stats()
             if not solution.status.has_solution:
+                # No round had a design, or the solver gave up on this
+                # one (timeout, error): report its status, no design.
                 architecture, terms = None, {}
                 break
             architecture, terms = explorer._decode(solution, built)
@@ -182,9 +238,9 @@ def robust_solve(
             stats.timings.add("verify", report.total_seconds)
             if report.survived_all:
                 break
-            added = 0
+            last_cut = []
             for verdict in report.critical_patterns:
-                if added >= spec.worst:
+                if len(last_cut) >= spec.worst:
                     break
                 pid = verdict.pattern_id
                 if pid in cut or pid in uncoverable:
@@ -215,12 +271,12 @@ def robust_solve(
                 for name, row in rows:
                     built.model.add(row, name=name)
                 cut.add(pid)
-                added += 1
-            if added == 0:
+                last_cut.append(pid)
+            if not last_cut:
                 # Every violated pattern is uncoverable (or already cut,
                 # which a fresh solve cannot change): fixpoint.
                 break
-            counter("failures.patterns_cut").inc(added)
+            counter("failures.patterns_cut").inc(len(last_cut))
 
         assert solution is not None
         diagnostics: list[Diagnostic] = []
@@ -249,7 +305,7 @@ def robust_solve(
             status=solution.status,
             architecture=architecture,
             solution=solution,
-            model_stats=built.model.stats(),
+            model_stats=model_stats,
             encode_seconds=encode_seconds,
             solve_seconds=solve_seconds,
             encoder_name=explorer.encoder_name,

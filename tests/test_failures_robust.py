@@ -8,12 +8,18 @@ detect that, add the pattern's survivability rows and converge to a
 design that reroutes around the wall, within the round cap.
 """
 
+import dataclasses
+
 import pytest
 
 import repro
+from repro.analysis.diagnostics import Severity
+from repro.core.kstar_search import kstar_search
 from repro.core.options import SolveOptions
+from repro.failures import robust
 from repro.geometry.floorplan import FloorPlan, Wall
 from repro.geometry.primitives import Point, Rectangle, Segment
+from repro.milp.solution import Solution, SolveStatus
 from repro.network import (
     LinkQualityRequirement,
     RequirementSet,
@@ -129,6 +135,87 @@ class TestAcceptanceScenario:
         diag = next(d for d in result.diagnostics
                     if d.rule_id == "failures.survivability")
         assert diag.data["report"]["uncoverable"]
+
+
+class TestRoundWithoutDesign:
+    """A round whose new survivability rows make the MILP infeasible
+    returns the last round that had a design, not no design."""
+
+    @pytest.mark.parametrize("name, spec", [
+        ("multifloor:floors=4,rooms_x=3:0", "walls,rounds:6"),
+        ("multifloor:floors=4,rooms_x=3:1", "k-node:1,rounds:6"),
+    ])
+    def test_last_design_is_returned(self, name, spec):
+        scenario = repro.default_registry().generate(name)
+        result = scenario.explore(options=SolveOptions(failures=spec))
+        assert result.feasible
+        assert result.architecture is not None
+        assert repro.validate(result.architecture, scenario.requirements,
+                              scenario.channel).ok
+        patterns = repro.generate_patterns(spec, scenario.template,
+                                           scenario.plan)
+        report = repro.verify_patterns(
+            result.architecture, scenario.requirements, patterns
+        )
+        assert result.survivability_score == report.score
+        warning = next(d for d in result.diagnostics
+                       if d.rule_id == "failures.round-without-design")
+        assert warning.severity is Severity.WARNING
+        assert warning.data["patterns"]
+        for pid in warning.data["patterns"]:
+            assert pid in warning.message
+        # One round count: the returned design's, not the failed round's.
+        rounds = warning.data["round"] - 1
+        info = next(d for d in result.diagnostics
+                    if d.rule_id == "failures.survivability")
+        assert info.data["report"]["rounds"] == rounds
+        assert f"after {rounds} round(s)" in info.message
+        # The model stats are the model that produced the design: round
+        # 1's, which carries no survivability row yet.
+        assert rounds == 1
+        assert result.model_stats == scenario.explore().model_stats
+
+    @pytest.mark.parametrize("status", [SolveStatus.TIMEOUT,
+                                        SolveStatus.ERROR])
+    def test_solver_giving_up_keeps_its_status(self, status):
+        # Round 2 of this problem is infeasible; a solver that gives up
+        # on it instead is no proof of that, so no earlier design is
+        # returned.
+        scenario = repro.default_registry().generate(
+            "multifloor:floors=4,rooms_x=3:1"
+        )
+        explorer = _scenario_explorer(scenario, "k-node:1,rounds:6")
+        explorer.solver = _GivesUpOnRound(explorer.solver, 2, status)
+        result = explorer.solve("cost")
+        assert explorer.solver.calls == 2
+        assert result.status is status
+        assert result.architecture is None
+        assert not any(d.rule_id == "failures.round-without-design"
+                       for d in result.diagnostics)
+
+
+class _GivesUpOnRound:
+    """Delegates to ``inner`` except on solve number ``round_no``, which
+    returns ``status`` with no assignment."""
+
+    def __init__(self, inner, round_no, status):
+        self.inner, self.round_no, self.status = inner, round_no, status
+        self.calls = 0
+
+    def solve(self, model):
+        self.calls += 1
+        if self.calls == self.round_no:
+            return Solution(status=self.status)
+        return self.inner.solve(model)
+
+
+def _scenario_explorer(scenario, failures, *, k_star=None, requirements=None):
+    return repro.build_explorer(
+        scenario.template, scenario.library,
+        requirements or scenario.requirements, channel=scenario.channel,
+        k_star=k_star or scenario.k_star, failures=failures,
+        plan=scenario.plan,
+    )
 
 
 class TestCheckpointedRobustRun:
@@ -255,3 +342,70 @@ class TestParetoRobust:
         assert front.points
         for point in front.points:
             assert point.result.survivability_score == 1.0
+
+    def test_budgets_ending_without_a_design_are_skipped(
+        self, monkeypatch
+    ):
+        # At K* = 6 every robust solve of this problem ends on an
+        # earlier round's design; that design does not survive the
+        # patterns, so no budget may put it on the front.
+        scenario = repro.default_registry().generate(
+            "multifloor:floors=4,rooms_x=3:1"
+        )
+        from repro.network import LifetimeRequirement
+        reqs = dataclasses.replace(
+            scenario.requirements,
+            lifetime=LifetimeRequirement(years=1.0),
+        )
+        results = []
+        solve = robust.robust_solve
+
+        def recorded(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(robust, "robust_solve", recorded)
+        explorer = _scenario_explorer(scenario, "k-node:1,rounds:6",
+                                      requirements=reqs)
+        front = repro.explore_pareto(explorer, "cost", "energy", points=2)
+        budget_solves = results[2:]  # after the two extremes
+        assert len(budget_solves) == 2
+        assert all(robust.round_without_design(r) for r in budget_solves)
+        assert front.points == []
+
+
+class TestKStarRobust:
+    def test_rung_ending_without_a_design_is_infeasible(self, tmp_path):
+        scenario = repro.default_registry().generate(
+            "multifloor:floors=4,rooms_x=3:1"
+        )
+        ckpt = tmp_path / "ladder.jsonl"
+
+        def search(resume):
+            return kstar_search(
+                lambda k: _scenario_explorer(scenario, None, k_star=k),
+                ladder=(6, 8),
+                options=SolveOptions(failures="k-node:1,rounds:6",
+                                     checkpoint=str(ckpt),
+                                     resume=resume),
+            )
+
+        result = search(resume=False)
+        low, high = result.trials
+        # K* = 6 cannot cover the patterns together: the rung is scored
+        # infeasible and the ladder climbs to K* = 8, whose design
+        # survives every pattern.
+        assert low.result.status is SolveStatus.INFEASIBLE
+        assert low.result.architecture is None
+        assert low.objective == float("inf")
+        assert any(d.rule_id == "failures.round-without-design"
+                   for d in low.result.diagnostics)
+        assert result.best is high
+        assert high.result.survivability_score == 1.0
+        assert result.stop_reason == "ladder exhausted"
+        # The checkpoint records the rung as infeasible, so a resume
+        # selects the same K*.
+        resumed = search(resume=True)
+        assert resumed.restored_ks == (6, 8)
+        assert resumed.trials[0].objective == float("inf")
+        assert resumed.best.k_star == 8

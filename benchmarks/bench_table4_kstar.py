@@ -120,7 +120,7 @@ def test_table4_cache_reused_across_rungs(collected, ladder_caches):
 def test_table4_t1_parallel_ladder(benchmark, t1, collected):
     """The T1 ladder on a two-worker runner matches the sequential costs."""
     cache = EncodeCache()
-    runner = BatchRunner(workers=2, mode="thread")
+    runner = BatchRunner(workers=2)
 
     def run_ladder():
         outcomes = runner.run([

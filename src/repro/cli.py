@@ -16,8 +16,8 @@ components and a floor plan"; this CLI is that front door:
 
 Every synthesis command accepts ``--stats-json`` to emit the runtime
 instrumentation (per-phase timings, cache hit/miss counters) as
-structured JSON, and the sweep commands accept ``--parallel`` to run
-independent trials through the :mod:`repro.runtime` batch runner.
+structured JSON, and ``kstar`` accepts ``--parallel`` to solve ladder
+rungs on the threads of the :mod:`repro.runtime` batch runner.
 
 ``synthesize``/``localize``/``kstar`` additionally accept ``--trace
 PATH`` (hierarchical span/event log as JSONL — see
@@ -147,9 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="with --failures: replay pattern verdicts "
                           "recorded in --checkpoint instead of "
                           "re-verifying them")
-    syn.add_argument("--parallel", type=int, default=1,
-                     help="with --failures: verify patterns concurrently "
-                          "through the batch runner")
     _add_telemetry_args(syn)
 
     loc = sub.add_parser("localize", help="anchor-placement synthesis")
@@ -237,9 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--floorplan", type=Path,
                     help="SVG floor plan for the wall/region families "
                          "(default: built-in office floor)")
-    vf.add_argument("--parallel", type=int, default=1,
-                    help="verify patterns concurrently through the batch "
-                         "runner")
     vf.add_argument("--deadline", type=float, metavar="SECONDS",
                     help="wall-clock budget for the whole sweep")
     vf.add_argument("--checkpoint", type=Path, metavar="FILE",
@@ -377,7 +371,6 @@ def _cmd_synthesize(args) -> int:
             options=SolveOptions(deadline_s=args.deadline,
                                  max_retries=args.max_retries,
                                  failures=args.failures,
-                                 parallel=args.parallel,
                                  checkpoint=(
                                      str(args.checkpoint)
                                      if args.checkpoint else None
@@ -683,7 +676,6 @@ def _cmd_verify_failures(args) -> int:
     try:
         report = verify_patterns(
             arch, compiled.requirements, patterns,
-            parallel=args.parallel,
             budget=budget,
             checkpoint=args.checkpoint,
             resume=bool(args.resume and args.checkpoint),

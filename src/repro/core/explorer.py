@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import abc
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.analysis.analyzer import analyze_model, analyze_problem
@@ -160,8 +161,6 @@ class ExplorerBase(abc.ABC):
         #: to replay completed verdicts from it.
         self.failures_checkpoint: str | None = None
         self.failures_resume: bool = False
-        #: Worker count for the verification sweep's batch fan-out.
-        self.failures_parallel: int = 1
 
     def fingerprint(self) -> str:
         """A short stable hash of the problem identity (template,
@@ -254,10 +253,20 @@ class ExplorerBase(abc.ABC):
         worst violated ones and re-solve to a fixpoint
         (:mod:`repro.failures.robust`).
         """
+        return self._solve(objective)
+
+    def _solve(
+        self,
+        objective: str | dict | ObjectiveSpec = "cost",
+        mutate: Callable[[BuiltProblem], None] | None = None,
+    ) -> SynthesisResult:
+        """:meth:`solve`, with ``mutate`` tightening the built model
+        before its first solve (the Pareto sweep adds its
+        epsilon-constraint budget row this way)."""
         if self.failures is not None:
             from repro.failures.robust import robust_solve
 
-            return robust_solve(self, objective)
+            return robust_solve(self, objective, mutate=mutate)
         with span(
             "explorer.solve", explorer=type(self).__name__
         ) as solve_span:
@@ -271,6 +280,8 @@ class ExplorerBase(abc.ABC):
                 "encode",
                 max(0.0, encode_seconds - stats.timings.get("analyze")),
             )
+            if mutate is not None:
+                mutate(built)
             solution = self._solve_built(built)
             stats.timings.add("solve", solution.solve_time)
             architecture, terms = self._decode(solution, built)

@@ -2,10 +2,11 @@
 
 One entry point for both problem families: hand it a template, a
 component library and requirements; it picks the right explorer
-(data-collection vs. anchor placement), attaches a shared
-:class:`~repro.runtime.cache.EncodeCache`, and routes execution through
-the :class:`~repro.runtime.batch.BatchRunner` — so a list of objectives
-is swept in parallel and every result carries runtime instrumentation.
+(data-collection vs. anchor placement) and attaches a shared
+:class:`~repro.runtime.cache.EncodeCache`.  One objective is solved
+directly; a list of them fans out over the
+:class:`~repro.runtime.batch.BatchRunner`'s threads.  Every result
+carries runtime instrumentation.
 
     import repro
 
@@ -117,8 +118,6 @@ def explore(
     k_star: int | None = None,
     reach_k_star: int = 20,
     cache: EncodeCache | None = None,
-    runner: BatchRunner | None = None,
-    timeout_s: float | None = None,
     budget: DeadlineBudget | None = None,
     options: SolveOptions | None = None,
     plan=None,
@@ -129,14 +128,13 @@ def explore(
     ``objective`` is a single objective (string, weighted-term dict or
     :class:`~repro.core.objectives.ObjectiveSpec`) — returning one
     :class:`~repro.core.results.SynthesisResult` — or a sequence of them,
-    returning one result per objective, solved through the runtime with
-    up to ``parallel`` workers over a shared encode cache.
+    returning one result per objective, solved on up to ``parallel``
+    threads over a shared encode cache.
 
     ``k_star`` tunes the candidate pruning budget of whichever explorer
     is picked (the routing encoder's pool size, or the per-test-point
-    anchor budget).  ``timeout_s`` bounds each trial when running on a
-    pool.  Pass a prebuilt ``runner``/``cache`` to share them across
-    calls.
+    anchor budget).  Pass a prebuilt ``cache`` to share encode work
+    across calls.
 
     Runtime behaviour — deadline, retries, parallelism — comes in one
     :class:`~repro.core.options.SolveOptions` object::
@@ -150,9 +148,9 @@ def explore(
     ``ERROR``/crash, fallback chain, incumbent acceptance at the
     deadline — see docs/robustness.md), and each result then carries
     its per-attempt log under ``result.solve_attempts``.  An objective
-    whose trial runs out of deadline (or never starts because the budget
-    is spent) degrades gracefully to an infeasible ``TIMEOUT`` result in
-    its slot rather than raising; any other trial failure is re-raised.
+    whose solve would start after the budget is spent degrades to a
+    status-only ``TIMEOUT`` result in its slot rather than raising; any
+    other failure is raised.
 
     ``options.failures`` arms failure-aware synthesis: each solve runs
     the verify-then-robust-re-solve loop over the enumerated failure
@@ -180,8 +178,7 @@ def explore(
             "a failures checkpoint covers one objective's sweep; pass a "
             "single objective (or drop options.checkpoint)"
         )
-    parallel = opts.parallel
-    if cache is None and opts.cache:
+    if cache is None:
         cache = EncodeCache()
     if budget is None:
         budget = opts.budget()
@@ -199,24 +196,24 @@ def explore(
     if opts.failures is not None:
         explorer.failures_checkpoint = opts.checkpoint
         explorer.failures_resume = opts.resume
-        explorer.failures_parallel = opts.parallel
     objectives = [objective] if single else list(objective)
     if not objectives:
         raise ValueError("need at least one objective")
-    if runner is None:
-        runner = BatchRunner(
-            workers=max(1, parallel), timeout_s=timeout_s, budget=budget
-        )
     with span(
         "explore",
         objectives=[str(obj) for obj in objectives],
-        parallel=parallel,
+        parallel=opts.parallel,
     ):
+        if single:
+            if budget is not None and budget.expired:
+                return _timeout_result(
+                    explorer, f"trial explore:{objective} not started: "
+                    f"deadline budget exhausted",
+                )
+            return explorer.solve(objective)
+        runner = BatchRunner(workers=opts.parallel, budget=budget)
         outcomes = runner.run([
-            Trial(
-                explorer.solve, (obj,),
-                label=f"explore:{obj}", timeout_s=timeout_s,
-            )
+            Trial(explorer.solve, (obj,), label=f"explore:{obj}")
             for obj in objectives
         ])
     results = []
@@ -224,25 +221,23 @@ def explore(
         if outcome.ok:
             results.append(outcome.value)
         elif outcome.timed_out:
-            # Deadline exhausted (or per-trial timeout): degrade to a
-            # status-only TIMEOUT result instead of blowing up the call.
-            results.append(_timeout_result(explorer, outcome))
+            # The budget was spent before this objective's solve started:
+            # degrade to a status-only TIMEOUT result.
+            results.append(_timeout_result(explorer, str(outcome.error)))
         else:
             raise outcome.error
-    return results[0] if single else results
+    return results
 
 
-def _timeout_result(explorer: ExplorerBase, outcome) -> SynthesisResult:
-    """A status-only ``TIMEOUT`` result for a trial the runtime gave up
-    on (deadline budget spent, or the per-trial timeout fired)."""
+def _timeout_result(explorer: ExplorerBase, message: str) -> SynthesisResult:
+    """A status-only ``TIMEOUT`` result for a solve the deadline budget
+    left no time to start."""
     return SynthesisResult(
         status=SolveStatus.TIMEOUT,
         architecture=None,
-        solution=Solution(
-            status=SolveStatus.TIMEOUT, message=str(outcome.error)
-        ),
+        solution=Solution(status=SolveStatus.TIMEOUT, message=message),
         model_stats=ModelStats(0, 0, 0, 0),
         encode_seconds=0.0,
-        solve_seconds=outcome.seconds,
+        solve_seconds=0.0,
         encoder_name=getattr(explorer, "encoder_name", "unknown"),
     )

@@ -6,7 +6,7 @@ execution time becomes higher than a predefined threshold or there is no
 further improvement in the objective."
 
 The ladder can run sequentially (solve a rung, apply the stop rules,
-maybe solve the next) or speculatively in parallel through the
+maybe solve the next) or speculatively in parallel on the threads of the
 :class:`~repro.runtime.batch.BatchRunner` — all rungs are solved
 concurrently and the *same* stop rules are then applied in ladder order,
 so the selected rung, the reported trials and the stop reason match the
@@ -22,7 +22,9 @@ Resilience (see :mod:`repro.resilience` and docs/robustness.md):
 
 * ``budget`` / ``options.deadline_s`` bound the whole ladder — every
   rung's solver attempt is clipped to the remaining time and the scan
-  stops with ``"deadline exhausted"`` once the budget is spent;
+  stops with ``"deadline exhausted"`` once the budget is spent; a rung
+  the deadline stops before it finds a design is dropped and left off
+  the checkpoint, so a resume solves it again;
 * ``retry`` wraps each rung's solver in a
   :class:`~repro.resilience.watchdog.ResilientSolver` (retry on
   ``ERROR``/crash, fallback chain, incumbent acceptance);
@@ -205,8 +207,7 @@ def kstar_search(
     and problem fingerprint, else
     :class:`~repro.resilience.checkpoint.CheckpointError`).
     ``cache`` is injected into every explorer that does not already
-    carry one, so rungs share encode work (``options.cache=False``
-    disables sharing).
+    carry one, so rungs share encode work.
 
     Under an armed tracer the whole scan is one ``kstar.search`` span
     with a ``kstar.rung`` child per solved rung (also across
@@ -221,8 +222,6 @@ def kstar_search(
         budget = opts.budget()
     if retry is None:
         retry = opts.retry_policy()
-    if opts.cache is False:
-        cache = None
     failures = opts.failures
     ladder = tuple(ladder)
     with span(
@@ -315,11 +314,15 @@ def _kstar_search_impl(
         def collect(outcome) -> None:
             # Checkpoint each rung the moment its solve lands, so a kill
             # mid-batch keeps every completed rung, not just the ones a
-            # later scan would have consumed.
-            if outcome.ok:
-                solved[outcome.value.k_star] = checkpointed(outcome.value)
-            elif outcome.timed_out:
+            # later scan would have consumed.  A rung that never started
+            # or whose solve the deadline stopped empty-handed is not a
+            # result: it stays off the checkpoint, so a resume solves it.
+            if outcome.timed_out or (
+                outcome.ok and _cut_off(outcome.value, budget)
+            ):
                 timed_out.add(pending[outcome.index])
+            elif outcome.ok:
+                solved[outcome.value.k_star] = checkpointed(outcome.value)
 
         outcomes = runner.run([
             Trial(
@@ -371,6 +374,11 @@ def _kstar_search_impl(
                 trial = _solve_rung(make_explorer, k, objective, cache,
                                     budget, retry, failures,
                                     previous_architecture=previous)
+                if _cut_off(trial, budget):
+                    # Not a result: keep it off the checkpoint so a
+                    # resume solves this rung again.
+                    deadline_hit = True
+                    return
                 if trial.result.feasible:
                     previous = getattr(trial.result, "architecture", None)
                 yield checkpointed(trial)
@@ -394,6 +402,15 @@ def _problem_of(explorer: ExplorerBase) -> str | None:
     cannot identify their problem, e.g. hand-rolled test doubles)."""
     fingerprint = getattr(explorer, "fingerprint", None)
     return fingerprint() if callable(fingerprint) else None
+
+
+def _cut_off(trial: KStarTrial, budget: DeadlineBudget | None) -> bool:
+    """Whether the deadline stopped ``trial``'s solve before it found a
+    design (the watchdog's status-only ``TIMEOUT``)."""
+    return (
+        budget is not None and budget.expired
+        and trial.result.status is SolveStatus.TIMEOUT
+    )
 
 
 def _solve_rung(

@@ -3,7 +3,7 @@
 :func:`repro.explore`, :func:`repro.kstar_search` and
 :func:`repro.explore_pareto` historically grew divergent keyword
 surfaces for the same cross-cutting concerns — deadlines, retries,
-parallelism, checkpoint/resume, cache sharing, telemetry targets.  A
+parallelism, checkpoint/resume, failure patterns.  A
 :class:`SolveOptions` is the one typed, frozen, JSON-serializable
 options object all three accept (``options=``), and the same object
 rides the ``repro.server`` wire protocol inside a
@@ -11,9 +11,10 @@ rides the ``repro.server`` wire protocol inside a
 HTTP service speak one dialect.
 
 Fields that a particular entry point cannot honour are ignored there
-(``checkpoint``/``resume`` only apply to the sweeps; ``trace``/
-``metrics`` are consumed by the transports — the CLI and the server —
-which arm telemetry around the call).
+(``checkpoint``/``resume`` apply to the sweeps and, with ``failures``,
+to ``explore``'s verification sweep).  Telemetry targets are not
+options: the CLI arms tracing from its own ``--trace``/``--metrics``
+flags.
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ class SolveOptions:
     #: Replay completed work recorded in ``checkpoint`` instead of
     #: re-solving it.
     resume: bool = False
-    #: Share encode work through an :class:`~repro.runtime.cache
-    #: .EncodeCache` (``False`` disables caching entirely).
-    cache: bool = True
-    #: JSONL trace target, consumed by the CLI/server transport.
-    trace: str | None = None
-    #: Prometheus-text metrics target, consumed by the transport.
-    metrics: str | None = None
     #: Failure-pattern spec for failure-aware synthesis, e.g.
     #: ``"k-link:1,walls"`` (grammar in
     #: :func:`repro.failures.parse_failures_spec`).  When set, every

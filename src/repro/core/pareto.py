@@ -7,10 +7,13 @@ recovers the full Pareto front: minimize the primary term subject to a
 budget on the secondary term, sweeping the budget between the two
 single-objective extremes.
 
-The budget solves are independent of each other, so they can run through
-the :class:`~repro.runtime.batch.BatchRunner` (``options.parallel``);
-an explorer carrying an :class:`~repro.runtime.cache.EncodeCache` then
-shares the path-loss/Yen encode work across every sweep point.
+The budget solves are independent of each other, so they can run on the
+threads of the :class:`~repro.runtime.batch.BatchRunner`
+(``options.parallel``); an explorer carrying an
+:class:`~repro.runtime.cache.EncodeCache` then shares the path-loss/Yen
+encode work across every sweep point.  Each budget solve is the
+explorer's own build → solve → decode pipeline with the budget row
+added before the first solve.
 
 Resilience (see :mod:`repro.resilience` and docs/robustness.md): a
 ``budget`` (or ``options.deadline_s``) clips every solve to the sweep's
@@ -28,9 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.explorer import ExplorerBase
+from repro.core.explorer import BuiltProblem, ExplorerBase
 from repro.core.options import DEFAULT_OPTIONS, SolveOptions
 from repro.core.results import SynthesisResult
+from repro.failures.robust import round_without_design
 from repro.resilience.checkpoint import (
     Checkpoint,
     RestoredResult,
@@ -39,7 +43,7 @@ from repro.resilience.checkpoint import (
 from repro.resilience.policy import DeadlineBudget, RetryPolicy
 from repro.resilience.watchdog import ResilientSolver
 from repro.runtime.batch import BatchRunner, Trial
-from repro.runtime.instrumentation import STATS_SCHEMA_VERSION, RunStats
+from repro.runtime.instrumentation import STATS_SCHEMA_VERSION
 from repro.telemetry.trace import span
 
 
@@ -160,12 +164,11 @@ def explore_pareto(
     Runtime behaviour comes in one
     :class:`~repro.core.options.SolveOptions` object.  With
     ``options.parallel > 1`` (or an explicit ``runner``) the budget
-    solves run concurrently; the front is identical either way because
-    each budget is an independent MILP.  The default runner uses threads
-    so the explorer's encode cache is shared across sweep points.  A
-    sequential sweep warm-starts each point from the previous point's
-    design (:mod:`repro.accel.warmstart`); the extremes, the first point
-    and parallel points start cold.
+    solves run concurrently on threads, sharing the explorer's encode
+    cache; the front is identical either way because each budget is an
+    independent MILP.  A sequential sweep warm-starts each point from
+    the previous point's design (:mod:`repro.accel.warmstart`); the
+    extremes, the first point and parallel points start cold.
 
     ``options.deadline_s`` (or an explicit ``budget``) bounds the whole
     sweep; points the deadline cuts off are omitted from the front (and
@@ -292,7 +295,12 @@ def _sweep(
 
     def finish(index: int, b: float, point: ParetoPoint | None) -> None:
         """Record a completed point the moment its solve lands, so a
-        kill mid-sweep keeps every finished point on disk."""
+        kill mid-sweep keeps every finished point on disk.  A point
+        without a design that lands after the deadline ran into it
+        rather than proving infeasibility: it is left out of the front
+        and of the checkpoint, so a resume solves it again."""
+        if point is None and budget is not None and budget.expired:
+            return
         fresh[index] = point
         if ckpt is not None:
             ckpt.append(_point_record(index, b, point))
@@ -300,9 +308,7 @@ def _sweep(
     if parallel > 1 or runner is not None:
         # Threads keep the explorer (and its cache) shared; the MILP
         # solves release the GIL inside HiGHS.
-        runner = runner or BatchRunner(
-            workers=parallel, mode="thread", budget=budget
-        )
+        runner = runner or BatchRunner(workers=parallel, budget=budget)
 
         def collect(outcome) -> None:
             if outcome.ok:
@@ -334,10 +340,6 @@ def _sweep(
                 arch = getattr(point.result, "architecture", None)
                 if arch is not None:
                     explorer.warm_start_architecture = arch
-            if point is None and budget is not None and budget.expired:
-                # The solve ran into the deadline rather than proving
-                # infeasibility — do not checkpoint it as infeasible.
-                continue
             finish(index, b, point)
 
     solved: list[ParetoPoint | None] = []
@@ -418,63 +420,22 @@ def _solve_budget(
     secondary: str,
     budget: float,
 ) -> ParetoPoint | None:
-    """One epsilon-constraint solve: min primary s.t. secondary <= budget."""
-    if getattr(explorer, "failures", None) is not None:
-        return _solve_budget_robust(explorer, primary, secondary, budget)
-    with span("pareto.point", budget=budget) as point_span:
-        stats = RunStats()
-        with stats.timings.phase("encode"):
-            built = explorer.build(primary, stats=stats)
+    """One epsilon-constraint solve: min primary s.t. secondary <= budget.
+
+    The budget row joins the model before its first solve, so under
+    failure-aware synthesis every robust round keeps it and every front
+    point is pattern-survivable; a budget whose robust rounds end
+    without a design is skipped like an infeasible one.
+    """
+
+    def budget_row(built: BuiltProblem) -> None:
         built.model.add(
             built.term(secondary) <= budget * (1 + 1e-9),
             name=f"pareto:{secondary}_budget",
         )
-        solution = explorer._solve_built(built)
-        stats.timings.add("solve", solution.solve_time)
-        point_span.set_attribute("status", solution.status.name)
-        if not solution.status.has_solution:
-            return None
-        architecture, terms = explorer._decode(solution, built)
-        result = SynthesisResult(
-            status=solution.status,
-            architecture=architecture,
-            solution=solution,
-            model_stats=built.model.stats(),
-            encode_seconds=stats.timings.get("encode"),
-            solve_seconds=solution.solve_time,
-            encoder_name=explorer.encoder_name,
-            objective_terms=terms,
-            run_stats=stats,
-            solve_attempts=list(solution.extra.get("solve_attempts", ())),
-        )
-        return ParetoPoint(
-            primary=terms[primary],
-            secondary=terms[secondary],
-            secondary_budget=budget,
-            result=result,
-        )
 
-
-def _solve_budget_robust(
-    explorer: ExplorerBase,
-    primary: str,
-    secondary: str,
-    budget: float,
-) -> ParetoPoint | None:
-    """The epsilon-constraint solve under failure-aware synthesis: the
-    robust re-solve loop runs with the secondary budget row in the model
-    from the first round, so every front point is pattern-survivable; a
-    budget whose robust rounds end without a design is skipped."""
-    from repro.failures.robust import robust_solve, round_without_design
-
-    with span("pareto.point", budget=budget, failures=True) as point_span:
-        result = robust_solve(
-            explorer, primary,
-            mutate=lambda built: built.model.add(
-                built.term(secondary) <= budget * (1 + 1e-9),
-                name=f"pareto:{secondary}_budget",
-            ),
-        )
+    with span("pareto.point", budget=budget) as point_span:
+        result = explorer._solve(primary, mutate=budget_row)
         point_span.set_attribute("status", result.status.name)
         if not result.feasible or round_without_design(result):
             return None

@@ -8,8 +8,8 @@ Three layers, used together or separately:
   inside a floor-plan region).
 - :mod:`repro.failures.sweep` — the verification sweep: each pattern is
   checked against a decoded architecture (intact disjoint replicas,
-  link-quality margins), fanned out over the batch runner and streamed
-  through resumable checkpoints.
+  link-quality margins) in one loop, streamed through resumable
+  checkpoints.
 - :mod:`repro.failures.robust` — the worst-pattern robust re-solve loop:
   violated patterns become per-pattern survivability rows over the
   candidate pools and the MILP is re-solved to a fixpoint.

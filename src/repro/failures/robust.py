@@ -137,9 +137,9 @@ def robust_solve(
 
     Driven by the explorer's ``failures`` spec (see
     :class:`~repro.failures.patterns.FailuresSpec`) and its optional
-    ``floorplan`` (for geometric families), ``failures_checkpoint`` /
-    ``failures_resume`` (resumable sweeps, stage-keyed per round) and
-    ``failures_parallel``.  Returns a
+    ``floorplan`` (for geometric families) and ``failures_checkpoint`` /
+    ``failures_resume`` (resumable sweeps, stage-keyed per round).
+    Returns a
     :class:`~repro.core.results.SynthesisResult` whose
     ``survivability_score`` is the worst pattern's coverage and whose
     diagnostics carry the full
@@ -220,7 +220,6 @@ def robust_solve(
             assert architecture is not None
             report = verify_patterns(
                 architecture, requirements, patterns,
-                parallel=getattr(explorer, "failures_parallel", 1),
                 checkpoint=getattr(explorer, "failures_checkpoint", None),
                 # Later rounds must re-open the sweep file in resume
                 # mode: appends preserve earlier stages' records, and

@@ -5,10 +5,11 @@ failed elements from the decoded
 :class:`~repro.network.topology.Architecture` and check every route
 requirement still holds: at least one replica with no failed node or
 link, whose surviving links still clear the link-quality margins (same
-tolerances as :mod:`repro.validation.checker`).  The sweep fans out over
-:class:`~repro.runtime.batch.BatchRunner` with the resilience layer's
-``DeadlineBudget``/retry, and streams per-pattern verdicts through the
-JSONL checkpoint format — a killed sweep resumes, replaying completed
+tolerances as :mod:`repro.validation.checker`).  The sweep is a plain
+loop: a verdict is pure-python graph and margin checking, so a worker
+pool would only add overhead.  It stops at the resilience layer's
+``DeadlineBudget`` and streams per-pattern verdicts through the JSONL
+checkpoint format, so a killed sweep resumes, replaying completed
 patterns without re-verifying them.
 
 The ``failures.drop`` fault site fires after each verdict's checkpoint
@@ -28,8 +29,7 @@ from repro.network.requirements import RequirementSet
 from repro.network.topology import Architecture, Route
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.faults import maybe_fire
-from repro.resilience.policy import DeadlineBudget, RetryPolicy
-from repro.runtime.batch import BatchRunner, Trial, TrialOutcome
+from repro.resilience.policy import DeadlineBudget
 from repro.telemetry.metrics import counter
 from repro.telemetry.trace import span
 from repro.validation.checker import link_rss_dbm
@@ -168,21 +168,20 @@ def verify_patterns(
     requirements: RequirementSet,
     patterns: list[FailurePattern],
     *,
-    parallel: int = 1,
     budget: DeadlineBudget | None = None,
-    retry_policy: RetryPolicy | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
     problem: str = "",
     stage: int = 0,
 ) -> SurvivabilityReport:
-    """Verify every pattern against ``arch``; resumable and parallel.
+    """Verify every pattern against ``arch``, in order; resumable.
 
     ``stage`` namespaces records within one checkpoint file (the robust
     re-solve loop re-sweeps a *new* architecture each round; replaying a
     previous round's verdicts against it would be wrong).  Completed
     verdicts of the same stage are replayed as ``restored`` results and
-    not re-verified.
+    not re-verified.  A pattern reached after ``budget`` expired raises
+    :class:`TimeoutError`; the verdicts before it are already on disk.
     """
     store: Checkpoint | None = None
     completed: dict[str, PatternResult] = {}
@@ -204,12 +203,13 @@ def verify_patterns(
             p for pid, p in by_id.items() if pid not in completed
         ]
         results: dict[str, PatternResult] = dict(completed)
-
-        def record_outcome(outcome: TrialOutcome) -> None:
-            if not outcome.ok:
-                assert outcome.error is not None
-                raise outcome.error
-            result: PatternResult = outcome.value
+        for pattern in pending:
+            if budget is not None and budget.expired:
+                raise TimeoutError(
+                    f"pattern {pattern.pattern_id} not verified: "
+                    f"deadline budget exhausted"
+                )
+            result = verify_pattern(arch, requirements, pattern)
             results[result.pattern_id] = result
             counter(
                 "failures.patterns_verified", family=result.family,
@@ -223,24 +223,7 @@ def verify_patterns(
                 # The injected kill lands *after* the record is durable,
                 # mirroring kstar.abort: resume must recover this one.
                 maybe_fire("failures.drop")
-
-        if pending:
-            runner = BatchRunner(
-                workers=max(1, parallel),
-                budget=budget,
-                retry_policy=retry_policy,
-            )
-            runner.run(
-                [
-                    Trial(
-                        verify_pattern, (arch, requirements, pattern),
-                        label=f"failures:{pattern.pattern_id}",
-                    )
-                    for pattern in pending
-                ],
-                on_outcome=record_outcome,
-            )
-        ordered = [results[pid] for pid in by_id if pid in results]
+        ordered = [results[pid] for pid in by_id]
         report = SurvivabilityReport(results=ordered)
         sweep_span.set_attributes(
             violated=len(report.critical_patterns),

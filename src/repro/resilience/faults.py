@@ -12,8 +12,6 @@ Activation is explicit only: either :func:`install` a plan (tests use the
 :func:`injected_faults` context manager) or set the ``REPRO_FAULTS``
 environment variable.  When neither is present, every site check is a
 single module-global ``None`` comparison — zero overhead on the hot path.
-The environment form travels across ``fork`` into process-pool workers,
-so worker-side sites fire there too.
 
 Plan syntax (``REPRO_FAULTS`` or :meth:`FaultPlan.parse`)::
 
@@ -25,8 +23,9 @@ Fault-site catalog (see docs/robustness.md):
 ========================  ====================================================
 site                      fires inside
 ========================  ====================================================
-``worker.crash``          :func:`repro.runtime.batch._timed_call` (the pool
-                          worker wrapper) — simulates a crashing trial
+``worker.crash``          :func:`repro.runtime.batch._crashable` (the
+                          thread wrapper of a pooled trial) — simulates a
+                          crashing trial
 ``solver.hang``           solver ``solve()`` entry — raises
                           :class:`InjectedHang` (a ``TimeoutError``)
 ``solver.error``          solver ``solve()`` entry — the solver returns a
@@ -82,8 +81,8 @@ class InjectedFault(FaultError):
 
 
 class InjectedHang(InjectedFault, TimeoutError):
-    """An injected solver hang (also a ``TimeoutError`` so watchdogs and
-    batch-runner timeout handling treat it as a timeout)."""
+    """An injected solver hang (also a ``TimeoutError`` so the solver
+    watchdog treats it as a timeout)."""
 
 
 class FaultPlan:

@@ -1,16 +1,15 @@
 """The exploration runtime: batching, encode caching, instrumentation.
 
 ``repro.runtime`` is the execution layer under every sweep in the
-toolbox: :class:`BatchRunner` fans independent explorer trials out over a
-``concurrent.futures`` pool (with timeouts, retry-on-crash and
-deterministic result ordering), :class:`EncodeCache` memoizes the
-encode-phase artifacts that sweeps recompute otherwise (path-loss
-weighted graphs, Yen candidate pools, anchor rankings), and
-:class:`RunStats` carries per-phase timings and cache counters into every
-:class:`~repro.core.results.SynthesisResult`.
+toolbox: :class:`BatchRunner` fans independent explorer trials out over
+one thread pool (with retry-on-crash and deterministic result ordering),
+:class:`EncodeCache` memoizes the encode-phase artifacts that sweeps
+recompute otherwise (path-loss weighted graphs, Yen candidate pools,
+anchor rankings), and :class:`RunStats` carries per-phase timings and
+cache counters into every :class:`~repro.core.results.SynthesisResult`.
 """
 
-from repro.runtime.batch import MODES, BatchRunner, Trial, TrialOutcome
+from repro.runtime.batch import BatchRunner, Trial, TrialOutcome
 from repro.runtime.cache import (
     EncodeCache,
     build_sparsified_graph,
@@ -27,7 +26,6 @@ from repro.runtime.instrumentation import (
 )
 
 __all__ = [
-    "MODES",
     "PHASES",
     "BatchRunner",
     "CacheCounters",

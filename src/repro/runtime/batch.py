@@ -1,90 +1,42 @@
 """Parallel execution of independent exploration trials.
 
-A :class:`BatchRunner` runs a list of :class:`Trial`\\ s on a
-``concurrent.futures`` pool with per-trial timeouts, retry with optional
-backoff on crash, and deterministic result ordering (outcomes always come
-back in submission order, whatever the completion order was).
+A :class:`BatchRunner` runs a list of :class:`Trial`\\ s and returns
+their outcomes in submission order, whatever the completion order was.
+One worker runs them inline on the caller's thread; more run them on one
+:class:`~concurrent.futures.ThreadPoolExecutor`.  Threads share one
+address space, so a common :class:`~repro.runtime.cache.EncodeCache`
+works across trials, and the HiGHS solves release the GIL.
 
-Execution modes
----------------
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor`.  True CPU
-    parallelism, but every trial (function *and* arguments) must be
-    picklable, and in-memory state — notably a shared
-    :class:`~repro.runtime.cache.EncodeCache` — is **not** shared back
-    from workers.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Trials share one
-    address space, so a common ``EncodeCache`` works across trials; the
-    heavy solver calls release enough of the GIL for useful overlap.
-``sequential``
-    Runs inline on the caller's thread.  This is the ``parallel=1``
-    fallback and is bit-for-bit equivalent to the parallel modes apart
-    from wall-clock time (per-trial timeouts are not enforced inline).
-``auto`` (default)
-    ``sequential`` for one worker; otherwise ``process`` when every
-    trial pickles, else ``thread``.
+Each pool task runs in a fresh copy of the caller's :mod:`contextvars`
+context, taken on the caller's thread when the task is submitted, so
+spans opened by a trial (:mod:`repro.telemetry.trace`) parent under the
+span that was open around :meth:`BatchRunner.run`.
 
-Timeouts and worker recycling
------------------------------
-A timed-out trial yields an outcome with ``timed_out=True``, a
-:class:`TimeoutError` and the *measured* wall clock spent waiting.  The
-pool is then **recycled** so the overdue worker cannot squat on a slot
-forever: process pools have their worker processes terminated; thread
-pools are abandoned and replaced (a Python thread cannot be killed — the
-hung thread is left to finish on its own, but it no longer occupies a
-pool slot and is detached from the interpreter's exit hook so it cannot
-block process exit).  Unfinished trials are resubmitted to the fresh
-pool, so one runaway trial costs its own slot, not the batch.  A hung
-*thread* does keep executing its trial until it returns; use process
-mode when a hung trial must not keep touching shared state (e.g. a
-shared explorer or cache).
-
-Resilience hooks
-----------------
-``retry_policy`` adds exponential backoff between crash retries (the
-sleep is injectable, so tests are instant); ``budget`` threads a
-:class:`~repro.resilience.policy.DeadlineBudget` through — the effective
-per-trial timeout is the minimum of the trial/runner timeout and the
-budget's remaining time, and trials that start after expiry fail fast
-with a :class:`TimeoutError` without running.  The ``worker.crash``
-fault site (see :mod:`repro.resilience.faults`) fires inside the worker
-wrapper, so injected crashes exercise the same retry path as real ones.
-
-Telemetry
----------
-When tracing is armed (:mod:`repro.telemetry.trace`), the caller's span
-context is captured once per batch and re-established inside every
-worker, so spans opened by trial functions parent correctly even though
-pool workers do not inherit contextvars.  Thread workers emit straight
-into the shared tracer; process workers buffer their records and return
-them with the result, and the parent re-ingests them — either way a
-parallel sweep reconstructs into one span tree.
+A trial that raises is run again, up to ``retries`` times; on the pool
+it is resubmitted, queueing behind the trials already waiting.  The
+``worker.crash`` fault site (see :mod:`repro.resilience.faults`) fires
+in the thread wrapper, so injected crashes take the same retry path as
+real ones.  With a :class:`~repro.resilience.policy.DeadlineBudget`, a
+trial that would start after the budget expired fails fast with a
+:class:`TimeoutError` and ``timed_out=True`` without running.  A running
+trial is never abandoned: :meth:`BatchRunner.run` returns only after
+every trial it started has finished.  Deadlines inside a trial are the
+solver watchdog's job (:class:`~repro.resilience.watchdog.ResilientSolver`
+clips every solve to the budget's remaining time).
 """
 
 from __future__ import annotations
 
-import math
+import contextvars
 import os
-import pickle
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.resilience.faults import maybe_fire
-from repro.resilience.policy import DeadlineBudget, RetryPolicy
-from repro.telemetry.trace import SpanContext, adopt, capture, ingest
-
-MODES = ("auto", "process", "thread", "sequential")
+from repro.resilience.policy import DeadlineBudget
 
 
 @dataclass
@@ -95,8 +47,6 @@ class Trial:
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
     label: str = ""
-    #: Per-trial timeout override (seconds); ``None`` uses the runner's.
-    timeout_s: float | None = None
 
 
 @dataclass
@@ -123,39 +73,14 @@ class TrialOutcome:
         return self.value
 
 
-def _timed_call(
-    fn: Callable,
-    args: tuple,
-    kwargs: dict,
-    span_ctx: SpanContext | None = None,
-) -> tuple[Any, float, tuple]:
-    """Run ``fn`` and measure it inside the worker (module-level so it
-    pickles for process pools).  Carries the ``worker.crash`` fault site:
-    under an active plan (installed, or ``REPRO_FAULTS`` inherited across
-    fork) the injected crash surfaces exactly like a real one.
-
-    ``span_ctx`` re-parents the worker's spans under the submitting
-    span (pool threads and processes do not inherit the caller's
-    contextvars).  The third return element is the records buffered in a
-    *process* worker, for the parent to re-ingest; it is always empty
-    in-process.
-    """
+def _crashable(trial: Trial) -> Any:
+    """Run ``trial`` in a pool thread, behind the ``worker.crash`` site."""
     maybe_fire("worker.crash")
-    start = time.perf_counter()
-    if span_ctx is None:
-        value = fn(*args, **kwargs)
-        return value, time.perf_counter() - start, ()
-    with adopt(span_ctx) as scope:
-        value = fn(*args, **kwargs)
-    return value, time.perf_counter() - start, scope.records()
+    return trial.fn(*trial.args, **trial.kwargs)
 
 
-def _picklable(trial: Trial) -> bool:
-    try:
-        pickle.dumps((trial.fn, trial.args, trial.kwargs))
-        return True
-    except Exception:
-        return False
+def _inline(trial: Trial) -> Any:
+    return trial.fn(*trial.args, **trial.kwargs)
 
 
 class BatchRunner:
@@ -164,65 +89,30 @@ class BatchRunner:
     Parameters
     ----------
     workers:
-        Pool size; defaults to ``os.cpu_count()`` capped at 8.  One
-        worker means sequential inline execution.
-    mode:
-        One of :data:`MODES`; see the module docstring.
-    timeout_s:
-        Default per-trial timeout.  A timed-out trial yields an outcome
-        with ``timed_out=True``, a :class:`TimeoutError` and the measured
-        wall clock; it is not retried, and the pool is recycled so the
-        overdue worker does not keep occupying a slot (pool-based modes
-        only).
+        Thread count; defaults to ``os.cpu_count()`` capped at 8.  One
+        worker (or one trial) runs inline on the caller's thread.
     retries:
-        How many times a *crashed* trial (one that raised, or whose
-        worker process died) is resubmitted.  The default retries once.
-    retry_policy:
-        Optional backoff schedule between crash retries (no backoff when
-        ``None``, matching the historical behaviour).
+        How many times a trial that raised is run again.  The default
+        retries once.
     budget:
-        Optional :class:`DeadlineBudget`; per-trial timeouts are clipped
-        to its remaining time and trials dispatched after expiry fail
-        fast with a :class:`TimeoutError`.
-    sleep:
-        Injectable sleep used for retry backoff (tests pass a fake).
+        Optional :class:`DeadlineBudget`; a trial that would start after
+        it expired fails fast with a :class:`TimeoutError`.
     """
 
     def __init__(
         self,
         *,
         workers: int | None = None,
-        mode: str = "auto",
-        timeout_s: float | None = None,
         retries: int = 1,
-        retry_policy: RetryPolicy | None = None,
         budget: DeadlineBudget | None = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
         if workers is not None and workers < 1:
             raise ValueError("workers must be positive")
         if retries < 0:
             raise ValueError("retries must be non-negative")
         self.workers = workers or min(os.cpu_count() or 2, 8)
-        self.mode = mode
-        self.timeout_s = timeout_s
         self.retries = retries
-        self.retry_policy = retry_policy
         self.budget = budget
-        self._sleep = sleep
-        #: How many times a pool was torn down to reclaim a timed-out
-        #: worker (observability for --stats-json and tests).
-        self.recycled_pools = 0
-
-    # -- public API ---------------------------------------------------------
-
-    def map(self, fn: Callable, items: Sequence, label: str = "") -> list[TrialOutcome]:
-        """Run ``fn(item)`` for every item; a convenience over :meth:`run`."""
-        return self.run(
-            [Trial(fn, (item,), label=f"{label}[{i}]") for i, item in enumerate(items)]
-        )
 
     def run(
         self,
@@ -232,255 +122,78 @@ class BatchRunner:
     ) -> list[TrialOutcome]:
         """Execute ``trials`` and return outcomes in submission order.
 
-        ``on_outcome`` is invoked on the caller's thread as soon as each
-        outcome is finalized (still in submission order), so callers can
-        persist completed work incrementally — e.g. checkpoint a sweep
-        point the moment its solve lands instead of after the whole
-        batch.  An exception raised by the callback aborts the run.
+        ``on_outcome`` is invoked on the caller's thread as each outcome
+        is finalized (still in submission order), so callers can persist
+        completed work incrementally — e.g. checkpoint a sweep point the
+        moment its solve lands instead of after the whole batch.  An
+        exception raised by the callback aborts the run: trials not yet
+        started are cancelled, and the call returns (raising) once the
+        running ones have finished.
         """
-        normalized = [
-            t if isinstance(t, Trial) else Trial(t) for t in trials
+        normalized = [t if isinstance(t, Trial) else Trial(t) for t in trials]
+        outcomes = [
+            TrialOutcome(index=i, label=t.label)
+            for i, t in enumerate(normalized)
         ]
-        if not normalized:
-            return []
-        mode = self._resolve_mode(normalized)
-        if mode == "sequential":
-            return self._run_sequential(normalized, on_outcome)
-        return self._run_pooled(normalized, mode, on_outcome)
-
-    def _resolve_mode(self, trials: list[Trial]) -> str:
-        if self.workers == 1 or len(trials) == 1:
-            return "sequential"
-        if self.mode != "auto":
-            return self.mode
-        if all(_picklable(t) for t in trials):
-            return "process"
-        return "thread"
-
-    # -- shared helpers -----------------------------------------------------
-
-    def _effective_timeout(self, trial: Trial) -> float | None:
-        """The trial's timeout clipped to the budget's remaining time."""
-        timeout = (
-            trial.timeout_s if trial.timeout_s is not None else self.timeout_s
-        )
-        if self.budget is not None and self.budget.limited:
-            remaining = self.budget.remaining()
-            timeout = remaining if timeout is None else min(timeout, remaining)
-        return timeout
-
-    def _deadline_expired(self, outcome: TrialOutcome) -> bool:
-        """Fail ``outcome`` fast when the budget is already spent."""
-        if self.budget is None or not self.budget.expired:
-            return False
-        outcome.error = TimeoutError(
-            f"trial {outcome.label or outcome.index} not started: "
-            f"deadline budget exhausted"
-        )
-        outcome.timed_out = True
-        return True
-
-    def _backoff(self, attempt: int) -> None:
-        if self.retry_policy is not None:
-            self.retry_policy.backoff(
-                attempt, sleep=self._sleep, budget=self.budget
-            )
-
-    # -- sequential ---------------------------------------------------------
-
-    def _run_sequential(
-        self,
-        trials: list[Trial],
-        on_outcome: Callable[[TrialOutcome], None] | None = None,
-    ) -> list[TrialOutcome]:
-        outcomes = []
-        for index, trial in enumerate(trials):
-            outcome = TrialOutcome(index=index, label=trial.label)
-            outcomes.append(outcome)
-            if self._deadline_expired(outcome):
-                outcome.attempts = 0
+        if self.workers == 1 or len(normalized) <= 1:
+            for trial, outcome in zip(normalized, outcomes):
+                self._attempt(_inline, trial, outcome)
+                while self._retry(outcome):
+                    self._attempt(_inline, trial, outcome)
                 if on_outcome is not None:
                     on_outcome(outcome)
-                continue
-            for attempt in range(self.retries + 1):
-                outcome.attempts = attempt + 1
-                start = time.perf_counter()
-                try:
-                    outcome.value = trial.fn(*trial.args, **trial.kwargs)
-                    outcome.error = None
-                    outcome.seconds = time.perf_counter() - start
-                    break
-                except Exception as exc:  # noqa: BLE001 - reported per trial
-                    outcome.error = exc
-                    outcome.seconds = time.perf_counter() - start
-                    if attempt < self.retries:
-                        self._backoff(attempt + 1)
-            if on_outcome is not None:
-                on_outcome(outcome)
-        return outcomes
+            return outcomes
+        pool = ThreadPoolExecutor(max_workers=self.workers)
 
-    # -- pooled -------------------------------------------------------------
+        def submit(index: int) -> Future:
+            return pool.submit(
+                contextvars.copy_context().run,
+                self._attempt, _crashable, normalized[index], outcomes[index],
+            )
 
-    def _make_executor(self, mode: str):
-        if mode == "process":
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def _submit(
-        self,
-        executor,
-        trial: Trial,
-        span_ctx: SpanContext | None = None,
-    ) -> Future:
-        return executor.submit(
-            _timed_call, trial.fn, trial.args, trial.kwargs, span_ctx
-        )
-
-    def _recycle_pool(self, executor, mode: str):
-        """Tear the pool down (reclaiming its workers) and build a fresh
-        one.
-
-        Process pools get their workers terminated outright — a
-        timed-out solve must not keep burning a CPU forever.  Thread
-        pools are abandoned and replaced: the hung thread cannot be
-        killed, but the replacement pool restores the configured
-        concurrency immediately, and the abandoned workers are detached
-        from the interpreter's exit handler so a permanently hung solve
-        cannot block process exit.  (The hung thread does keep running
-        until its solve returns — prefer process mode for trials that
-        may hang while mutating shared state.)
-        """
-        self.recycled_pools += 1
-        if isinstance(executor, ProcessPoolExecutor):
-            # Kill workers *before* shutdown: shutdown(wait=False) hands
-            # the process table to the management thread (nulling
-            # ``_processes``), after which the hung worker can no longer
-            # be reached — it would survive the recycle and block
-            # interpreter exit.  Joining reaps the zombies so the
-            # management thread can wind down.
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
-                process.terminate()
-            for process in list(processes.values()):
-                process.join()
-        else:
-            # ThreadPoolExecutor workers are non-daemon and joined by an
-            # atexit hook; unregister the abandoned pool's threads from
-            # that hook so the one hung worker cannot stall interpreter
-            # exit.  The healthy workers still drain and exit on their
-            # own once shutdown() feeds them their wake-up sentinels.
-            import concurrent.futures.thread as _cf_thread
-
-            queues = getattr(_cf_thread, "_threads_queues", None)
-            if queues is not None:
-                for thread in list(getattr(executor, "_threads", ())):
-                    queues.pop(thread, None)
-        executor.shutdown(wait=False, cancel_futures=True)
-        return self._make_executor(mode)
-
-    def _resubmit_unfinished(
-        self,
-        executor,
-        trials: list[Trial],
-        futures: list[Future],
-        start_index: int,
-        span_ctx: SpanContext | None = None,
-    ) -> None:
-        """Re-place every not-yet-finished trial on a fresh pool (their
-        previous futures were cancelled or killed with the old pool).
-
-        Recycling cancels pending futures (``shutdown(cancel_futures=
-        True)``), which marks them *done*; those must be resubmitted too,
-        so the check is cancelled-or-unfinished rather than just
-        unfinished.  A process pool whose workers were just terminated
-        may instead fail its pending futures with ``BrokenExecutor``
-        before the cancel lands — those are equally unfinished."""
-        for j in range(start_index, len(trials)):
-            future = futures[j]
-            pending = future.cancelled() or not future.done()
-            if not pending and future.exception() is not None:
-                pending = isinstance(future.exception(), BrokenExecutor)
-            if pending:
-                future.cancel()
-                futures[j] = self._submit(executor, trials[j], span_ctx)
-
-    def _run_pooled(
-        self,
-        trials: list[Trial],
-        mode: str,
-        on_outcome: Callable[[TrialOutcome], None] | None = None,
-    ) -> list[TrialOutcome]:
-        outcomes = [
-            TrialOutcome(index=i, label=t.label) for i, t in enumerate(trials)
-        ]
-        # Snapshot the caller's span context once: pool workers do not
-        # inherit contextvars, so it rides along with every submission.
-        span_ctx = capture()
-        executor = self._make_executor(mode)
         try:
-            futures = [self._submit(executor, t, span_ctx) for t in trials]
-            for index, trial in enumerate(trials):
-                outcome = outcomes[index]
-                if self._deadline_expired(outcome):
-                    futures[index].cancel()
-                    if on_outcome is not None:
-                        on_outcome(outcome)
-                    continue
-                timeout = self._effective_timeout(trial)
-                attempt = 0
-                wait_start = time.perf_counter()
-                while True:
-                    attempt += 1
-                    outcome.attempts = attempt
-                    future = futures[index]
-                    try:
-                        outcome.value, outcome.seconds, records = (
-                            future.result(timeout)
-                        )
-                        outcome.error = None
-                        if records:
-                            # Spans buffered in a process worker: re-emit
-                            # them here so the parent's sinks see one tree.
-                            ingest(records)
-                        break
-                    except FutureTimeoutError:
-                        future.cancel()
-                        waited = time.perf_counter() - wait_start
-                        shown = math.inf if timeout is None else timeout
-                        outcome.error = TimeoutError(
-                            f"trial {trial.label or index} exceeded "
-                            f"{shown:.1f}s (waited {waited:.1f}s)"
-                        )
-                        outcome.timed_out = True
-                        outcome.seconds = waited
-                        # Reclaim the overdue worker: kill/abandon the
-                        # pool, then move every unfinished later trial
-                        # onto the replacement.
-                        executor = self._recycle_pool(executor, mode)
-                        self._resubmit_unfinished(
-                            executor, trials, futures, index + 1, span_ctx
-                        )
-                        break
-                    except (BrokenExecutor, CancelledError) as exc:
-                        # The pool itself died (e.g. a worker crashed hard)
-                        # and took this future with it: rebuild the pool
-                        # before retrying, or give up.
-                        executor = self._recycle_pool(executor, mode)
-                        self._resubmit_unfinished(
-                            executor, trials, futures, index + 1, span_ctx
-                        )
-                        if attempt > self.retries:
-                            outcome.error = exc
-                            break
-                        futures[index] = self._submit(executor, trial, span_ctx)
-                    except Exception as exc:  # noqa: BLE001 - reported per trial
-                        if attempt > self.retries:
-                            outcome.error = exc
-                            break
-                        self._backoff(attempt)
-                        futures[index] = self._submit(executor, trial, span_ctx)
+            futures = [submit(index) for index in range(len(normalized))]
+            for index, outcome in enumerate(outcomes):
+                futures[index].result()
+                while self._retry(outcome):
+                    futures[index] = submit(index)
+                    futures[index].result()
                 if on_outcome is not None:
                     on_outcome(outcome)
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
         return outcomes
+
+    def _retry(self, outcome: TrialOutcome) -> bool:
+        """Whether ``outcome`` raised and has attempts left."""
+        return (
+            outcome.error is not None and not outcome.timed_out
+            and outcome.attempts <= self.retries
+        )
+
+    def _attempt(
+        self,
+        call: Callable[[Trial], Any],
+        trial: Trial,
+        outcome: TrialOutcome,
+    ) -> None:
+        """Run one attempt of ``trial`` into ``outcome``; a first attempt
+        that would start after the budget expired fails fast instead."""
+        if (
+            outcome.attempts == 0 and self.budget is not None
+            and self.budget.expired
+        ):
+            outcome.error = TimeoutError(
+                f"trial {outcome.label or outcome.index} not started: "
+                f"deadline budget exhausted"
+            )
+            outcome.timed_out = True
+            return
+        outcome.attempts += 1
+        start = time.perf_counter()
+        try:
+            outcome.value = call(trial)
+            outcome.error = None
+        except Exception as exc:  # noqa: BLE001 - reported per trial
+            outcome.error = exc
+        outcome.seconds = time.perf_counter() - start

@@ -248,8 +248,7 @@ class SynthesisService:
                     )
                 try:
                     result = job.request.run(
-                        cache=self.cache if job.request.options.cache
-                        else None,
+                        cache=self.cache,
                         checkpoint=self._sweep_path(job),
                         resume=job.resumed,
                         previous=previous,

@@ -51,14 +51,11 @@ from repro.telemetry.trace import (
     Tracer,
     add_event,
     add_sink,
-    adopt,
-    capture,
     configure,
     current_context,
     drain_drop_warnings,
     enabled,
     get_tracer,
-    ingest,
     remove_sink,
     shutdown,
     span,
@@ -82,8 +79,6 @@ __all__ = [
     "Tracer",
     "add_event",
     "add_sink",
-    "adopt",
-    "capture",
     "configure",
     "counter",
     "current_context",
@@ -93,7 +88,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "histogram",
-    "ingest",
     "prometheus_text",
     "read_jsonl",
     "remove_sink",

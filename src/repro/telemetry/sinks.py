@@ -13,9 +13,7 @@ Provided sinks/exporters:
   lock, so concurrent threads never interleave partial lines and a crash
   can clip at most the final line (the same salvage convention as
   :mod:`repro.resilience.checkpoint`).
-- :class:`CollectorSink` — in-memory buffer; used by
-  :func:`repro.telemetry.trace.adopt` to carry records out of process
-  workers, and handy in tests.
+- :class:`CollectorSink` — in-memory buffer, handy in tests.
 - :class:`TraceRouter` — demultiplexes the process-wide record stream
   into per-trace sinks; the server uses it to give every job its own
   live event stream.
@@ -39,7 +37,7 @@ from repro.telemetry.metrics import MetricsRegistry
 
 
 class CollectorSink:
-    """Buffer records in memory (process-worker hand-off and tests)."""
+    """Buffer records in memory (tests and in-process consumers)."""
 
     def __init__(self) -> None:
         self.records: list[dict[str, Any]] = []

@@ -1,4 +1,4 @@
-"""Hierarchical tracing spans with cross-worker context propagation.
+"""Hierarchical tracing spans, nested through a context variable.
 
 A *span* is one timed region of the pipeline — a K* rung, a solver
 attempt, a cache compute — with a stable ``trace_id``/``span_id`` pair,
@@ -17,13 +17,11 @@ that raises is disarmed for the record, the event is dropped, the
 ``telemetry.dropped_events`` counter increments and a warning is queued
 for :func:`drain_drop_warnings` — telemetry must never fail a solve.
 
-Cross-worker propagation (the :class:`~repro.runtime.batch.BatchRunner`
-integration): :func:`capture` snapshots the current :class:`SpanContext`
-(picklable), :func:`adopt` re-establishes it inside a worker.  In a
-*thread* worker the spans flow straight into the shared tracer; in a
-*process* worker (different pid) they are buffered and returned with the
-trial result, and the parent re-emits them via :func:`ingest` — either
-way a parallel sweep yields one coherent span tree.
+Worker threads need no plumbing: the
+:class:`~repro.runtime.batch.BatchRunner` runs every pool task in a copy
+of the caller's :mod:`contextvars` context, so spans opened by a trial
+parent under the span that submitted it, and a parallel sweep yields one
+coherent span tree.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
 from typing import Any
 
@@ -51,13 +49,10 @@ def new_id(nbytes: int = 8) -> str:
 
 @dataclass(frozen=True)
 class SpanContext:
-    """An addressable position in a trace (picklable, crosses workers)."""
+    """An addressable position in a trace."""
 
     trace_id: str
     span_id: str
-    #: Pid of the process that created the context; :func:`adopt` uses it
-    #: to decide between shared-tracer and buffer-and-return modes.
-    pid: int = field(default_factory=os.getpid)
 
 
 class SpanHandle:
@@ -360,67 +355,3 @@ def add_event(name: str, **attributes: Any) -> None:
 def current_context() -> SpanContext | None:
     """The innermost open span's context (``None`` outside any span)."""
     return _current.get()
-
-
-def capture() -> SpanContext | None:
-    """Snapshot the current context for hand-off to a worker.
-
-    Returns ``None`` when tracing is off, so runners can skip the
-    propagation machinery entirely on untraced batches.
-    """
-    if not _tracer.enabled:
-        return None
-    return _current.get()
-
-
-class _AdoptedScope:
-    """What :func:`adopt` yields: access to buffered child-process records."""
-
-    __slots__ = ("_collector",)
-
-    def __init__(self, collector: Any | None) -> None:
-        self._collector = collector
-
-    def records(self) -> tuple[dict[str, Any], ...]:
-        """Records buffered in a child process (empty in-process)."""
-        if self._collector is None:
-            return ()
-        return tuple(self._collector.records)
-
-
-@contextmanager
-def adopt(context: SpanContext | None) -> Iterator[_AdoptedScope]:
-    """Re-establish ``context`` as the current span inside a worker.
-
-    Same process (thread workers, sequential fallback): spans emitted in
-    the block flow into the shared tracer directly.  Different process
-    (a ``BatchRunner`` process worker): the child's tracer has no sinks,
-    so the block's records are buffered locally and exposed through
-    ``.records()`` for the parent to :func:`ingest`.
-    """
-    if context is None:
-        yield _AdoptedScope(None)
-        return
-    collector = None
-    if context.pid != os.getpid():
-        # Child process: the parent's sinks did not survive the fork (or
-        # were never there under spawn) — buffer and return instead.
-        from repro.telemetry.sinks import CollectorSink
-
-        collector = CollectorSink()
-        _tracer.configure([collector])
-    token = _current.set(
-        SpanContext(context.trace_id, context.span_id, pid=os.getpid())
-    )
-    try:
-        yield _AdoptedScope(collector)
-    finally:
-        _current.reset(token)
-        if collector is not None:
-            _tracer.shutdown()
-
-
-def ingest(records: Sequence[dict[str, Any]]) -> None:
-    """Re-emit records buffered in a worker process into this tracer."""
-    for record in records:
-        _tracer.emit(record)

@@ -73,7 +73,9 @@ class TestJobRequestWire:
             JobRequest.from_dict(
                 {"kind": "kstar", "options": {"presolve": "reduce"}}
             )
-        for deleted in ("warm_start", "incremental"):
+        for deleted in (
+            "warm_start", "incremental", "cache", "trace", "metrics",
+        ):
             with pytest.raises(ValueError, match="unknown option field"):
                 JobRequest.from_dict(
                     {"kind": "kstar", "options": {deleted: True}}

@@ -12,7 +12,6 @@ class TestSolveOptions:
         opts = SolveOptions()
         assert opts.deadline_s is None
         assert opts.parallel == 1
-        assert opts.cache is True
         assert opts.resume is False
         assert opts == DEFAULT_OPTIONS
 
@@ -20,7 +19,7 @@ class TestSolveOptions:
         # No accelerator switch is left on the wire: a warm start
         # follows from a previous design alone, so a round trip carries
         # none, and a payload that still names one is refused.
-        opts = SolveOptions(parallel=2, cache=False)
+        opts = SolveOptions(parallel=2)
         payload = opts.to_dict()
         assert "warm_start" not in payload
         assert SolveOptions.from_dict(payload) == opts
@@ -58,9 +57,10 @@ class TestSolveOptions:
         opts = SolveOptions(
             deadline_s=12.5, max_retries=2, parallel=3,
             checkpoint=str(tmp_path / "c.jsonl"), resume=True,
-            cache=False, trace="t.jsonl", metrics="m.prom",
+            failures="k-link:1",
         )
         assert SolveOptions.from_dict(opts.to_dict()) == opts
+        assert len(opts.to_dict()) == 6
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown option"):
@@ -76,6 +76,13 @@ class TestSolveOptions:
             SolveOptions.from_dict({"warm_start": True})
         with pytest.raises(ValueError, match="unknown option"):
             SolveOptions.from_dict({"incremental": True})
+        # Nothing read these: the transports arm telemetry from their
+        # own flags, and every call shares an encode cache.
+        for name, value in (
+            ("cache", False), ("trace", "t.jsonl"), ("metrics", "m.prom"),
+        ):
+            with pytest.raises(ValueError, match="unknown option"):
+                SolveOptions.from_dict({name: value})
 
     def test_derived_runtime_objects(self):
         opts = SolveOptions(deadline_s=5.0, max_retries=3)

@@ -257,6 +257,54 @@ class TestDeadlineGraceful:
         assert len(points) == 2
         assert all(p["feasible"] for p in points)
 
+    def test_parallel_deadline_cut_points_resolve_on_resume(
+        self, tmp_path, monkeypatch
+    ):
+        """Parallel points whose solves run into a real deadline and land
+        without a design are not checkpointed as infeasible: a resume
+        solves them again."""
+        import json
+        import threading
+        import time
+
+        import repro.core.pareto as pareto_mod
+
+        lock = threading.Lock()
+        started = []
+
+        def cut_solve(explorer, primary, secondary, b):
+            with lock:
+                started.append(b)
+            time.sleep(0.6)  # runs past the 0.3 s deadline
+            return None
+
+        monkeypatch.setattr(pareto_mod, "_solve_budget", cut_solve)
+        path = tmp_path / "front.jsonl"
+        front = explore_pareto(
+            ScriptedExplorer(), "cost", "energy", points=2,
+            options=SolveOptions(parallel=2, deadline_s=0.3, checkpoint=path),
+        )
+        assert sorted(started) == [2.0, 8.0]
+        assert front.points == []
+        stages = [
+            json.loads(l)["stage"] for l in path.read_text().splitlines()[1:]
+        ]
+        assert stages == ["extreme", "extreme"]
+
+        resumed_calls = []
+
+        def resumed_solve(explorer, primary, secondary, b):
+            resumed_calls.append(b)
+            return scripted_point(b)
+
+        monkeypatch.setattr(pareto_mod, "_solve_budget", resumed_solve)
+        front = explore_pareto(
+            ScriptedExplorer(), "cost", "energy", points=2,
+            options=SolveOptions(checkpoint=path, resume=True),
+        )
+        assert sorted(resumed_calls) == [2.0, 8.0]
+        assert len(front.points) == 2
+
     def test_parallel_expired_budget_returns_empty_front(self, monkeypatch):
         """All trials failing fast on a spent budget must degrade to an
         empty front, not raise TimeoutError through unwrap()."""
@@ -300,3 +348,77 @@ class TestProblemPinning:
                 points=3,
                 options=SolveOptions(checkpoint=path, resume=True),
             )
+
+
+class TestParallelDeadline:
+    def test_fan_out_waits_for_its_points_and_runs_each_once(
+        self, monkeypatch
+    ):
+        """Under a real deadline the sweep returns only after every
+        point it started has finished; no budget starts twice, and the
+        points a worker picks up after the deadline never start."""
+        import threading
+        import time
+
+        import repro.core.pareto as pareto_mod
+
+        lock = threading.Lock()
+        started, finished = [], []
+
+        def slow_solve(explorer, primary, secondary, budget):
+            with lock:
+                started.append(budget)
+            time.sleep(0.6)
+            with lock:
+                finished.append(budget)
+            return scripted_point(budget)
+
+        monkeypatch.setattr(pareto_mod, "_solve_budget", slow_solve)
+        front = explore_pareto(
+            ScriptedExplorer(), "cost", "energy", points=4,
+            options=SolveOptions(parallel=2, deadline_s=0.3),
+        )
+        with lock:
+            at_return = (list(started), list(finished))
+        assert sorted(at_return[0]) == sorted(at_return[1])
+        # The extremes span [2, 8]: budgets 2, 4, 6, 8.  Two workers pick
+        # up 2 and 4 at once; 6 and 8 come up after the deadline.
+        assert sorted(at_return[0]) == [2.0, 4.0]
+        assert sorted(p.secondary_budget for p in front.points) == [2.0, 4.0]
+        time.sleep(0.7)  # a trial left running would land by now
+        assert sorted(started) == [2.0, 4.0]
+
+
+class TestPointPipeline:
+    def test_points_book_phases_and_carry_diagnostics_like_solve(
+        self, explorer, monkeypatch
+    ):
+        """A sweep point runs the explorer's own pipeline: the model
+        analyzer's time stays out of ``encode``, and its findings ride
+        the point's result as they ride ``explorer.solve``'s."""
+        import time
+
+        import repro.core.explorer as explorer_mod
+        from repro.analysis.diagnostics import (
+            AnalysisReport,
+            Diagnostic,
+            Severity,
+        )
+
+        def slow_analysis(model):
+            time.sleep(0.2)
+            return AnalysisReport([Diagnostic(
+                rule_id="test.slow-analysis", severity=Severity.WARNING,
+                message="the analyzer took its time",
+            )])
+
+        monkeypatch.setattr(explorer_mod, "analyze_model", slow_analysis)
+        front = explore_pareto(explorer, "cost", "energy", points=2)
+        assert front.points
+        for point in front.points:
+            stats = point.result.stats_dict()
+            assert stats["phase_seconds"]["analyze"] >= 0.2
+            assert stats["phase_seconds"]["encode"] < 0.2
+            assert "test.slow-analysis" in {
+                d.rule_id for d in point.result.diagnostics
+            }

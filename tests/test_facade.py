@@ -180,6 +180,31 @@ class TestDeadlineGraceful:
             assert "timeout" in result.summary()
             assert result.stats_dict()["status"] == "timeout"
 
+    def test_spent_deadline_single_objective_is_a_timeout_result(
+        self, data_problem, monkeypatch
+    ):
+        """One objective is solved directly, but a budget spent before
+        the solve starts still yields the status-only TIMEOUT result
+        without building anything."""
+        from repro.core.explorer import ExplorerBase
+        from repro.milp.solution import SolveStatus
+        from repro.resilience import DeadlineBudget
+
+        monkeypatch.setattr(
+            ExplorerBase, "build",
+            lambda *a, **k: pytest.fail("nothing should be built"),
+        )
+        instance, reqs = data_problem
+        clock = [0.0]
+        budget = DeadlineBudget(1.0, clock=lambda: clock[0])
+        clock[0] = 5.0
+        result = repro.explore(
+            instance.template, default_catalog(), reqs, budget=budget,
+        )
+        assert result.status is SolveStatus.TIMEOUT
+        assert not result.feasible
+        assert result.stats_dict()["status"] == "timeout"
+
     def test_fingerprint_pins_problem_identity(self, data_problem, loc_problem):
         """Same problem -> same fingerprint; different problem -> different."""
         instance, reqs = data_problem
@@ -206,3 +231,38 @@ class TestDeadlineGraceful:
             loc_instance.template, localization_catalog(), loc_req,
             channel=loc_instance.channel,
         ).fingerprint()
+
+
+class TestSingleObjectiveSolvesOnce:
+    def test_bad_input_builds_once_and_raises_once(self, monkeypatch):
+        """A blocking analyzer finding is not retried: one build, one
+        :class:`AnalysisError`."""
+        from repro.analysis import AnalysisError
+        from repro.core.explorer import ExplorerBase
+        from repro.network import synthetic_template
+
+        instance = synthetic_template(50, 20, seed=11)
+        reqs = RequirementSet()
+        reqs.require_route(
+            instance.sensor_ids[0], instance.sink_id,
+            replicas=40, disjoint=True,
+        )
+        builds, errors = [], []
+        original = ExplorerBase.build
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(1)
+            try:
+                return original(self, *args, **kwargs)
+            except AnalysisError as exc:
+                errors.append(exc)
+                raise
+
+        monkeypatch.setattr(ExplorerBase, "build", counting_build)
+        with pytest.raises(AnalysisError) as info:
+            repro.explore(instance.template, default_catalog(), reqs)
+        assert len(builds) == 1
+        assert errors == [info.value]
+        assert "spec.route-min-cut" in {
+            d.rule_id for d in info.value.report.errors
+        }

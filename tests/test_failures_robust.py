@@ -253,6 +253,40 @@ class TestCheckpointedRobustRun:
         assert diag.data["report"]["restored"] >= 1
 
 
+    def test_injected_drop_surfaces_and_resume_replays(
+        self, walled, tmp_path
+    ):
+        """A kill mid-sweep reaches the caller (the CLI's exit-3 path)
+        instead of being retried away, and the resumed run replays the
+        verdicts on disk into the uninterrupted run's answer."""
+        from repro.resilience.faults import FaultError, injected_faults
+
+        instance, plan, reqs = walled
+        ckpt = tmp_path / "drop.ckpt"
+
+        def run(**options):
+            return repro.explore(
+                instance.template, repro.default_catalog(), reqs,
+                objective="cost", plan=plan,
+                options=SolveOptions(failures="k-link:1", **options),
+            )
+
+        uninterrupted = run()
+        with injected_faults({"failures.drop": 1}):
+            with pytest.raises(FaultError):
+                run(checkpoint=str(ckpt))
+        resumed = run(checkpoint=str(ckpt), resume=True)
+        diag = next(d for d in resumed.diagnostics
+                    if d.rule_id == "failures.survivability")
+        assert diag.data["report"]["restored"] >= 1
+        assert resumed.objective_value == pytest.approx(
+            uninterrupted.objective_value
+        )
+        assert resumed.survivability_score == (
+            uninterrupted.survivability_score
+        )
+
+
 class TestWiring:
     def test_options_validate_the_spec_at_construction(self):
         with pytest.raises(ValueError):

@@ -120,7 +120,7 @@ class TestSweep:
     def test_sweep_orders_results_like_input(self, design):
         arch, reqs, _, _ = design
         patterns = k_link_patterns(arch.template, 1)
-        report = verify_patterns(arch, reqs, patterns, parallel=2)
+        report = verify_patterns(arch, reqs, patterns)
         assert [r.pattern_id for r in report.results] == \
             [p.pattern_id for p in patterns]
         assert report.survived_all  # disjoint replicas beat any 1 link

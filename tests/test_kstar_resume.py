@@ -166,6 +166,41 @@ class TestDeadline:
         assert search.stop_reason == "deadline exhausted"
         assert search.best.k_star == 3
 
+    def test_rung_cut_at_the_deadline_is_not_a_result(self, tmp_path):
+        """A rung whose solve the deadline stops empty-handed stops the
+        ladder without a trial or a checkpoint record; a resume solves
+        it again."""
+        clock_now = [0.0]
+        budget = DeadlineBudget(1.0, clock=lambda: clock_now[0])
+
+        def factory(k):
+            explorer = FakeExplorer(k)
+
+            def cut_solve(objective):
+                clock_now[0] += 1.5  # runs past the deadline
+                result = FakeResult(float("inf"))
+                result.status = SolveStatus.TIMEOUT
+                result.feasible = False
+                return result
+
+            explorer.solve = cut_solve
+            return explorer
+
+        path = tmp_path / "ladder.jsonl"
+        search = kstar_search(
+            factory, ladder=(1, 3), budget=budget,
+            options=SolveOptions(checkpoint=path),
+        )
+        assert search.trials == []
+        assert search.stop_reason == "deadline exhausted"
+        assert not path.exists()  # no rung was recorded
+        log = []
+        kstar_search(
+            make_factory(log), ladder=(1, 3),
+            options=SolveOptions(checkpoint=path, resume=True),
+        )
+        assert log == [1, 3]
+
     def test_deadline_does_not_mask_improvement_stop(self):
         budget = DeadlineBudget(1e9)
         search = kstar_search(
@@ -277,3 +312,49 @@ class TestParallelDeadline:
         )
         assert log == [5]  # only the crashed rung is re-solved
         assert resumed.best.k_star == 5
+
+    def test_rungs_cut_at_the_deadline_are_not_results(self, tmp_path):
+        """Rungs whose solves the deadline stops empty-handed stop the
+        ladder with 'deadline exhausted', stay off the checkpoint, and
+        are solved again on resume."""
+        import json
+        import threading
+        import time
+
+        lock = threading.Lock()
+        started = []
+
+        def factory(k):
+            explorer = FakeExplorer(k)
+
+            def cut_solve(objective):
+                with lock:
+                    started.append(k)
+                time.sleep(0.6)  # runs past the 0.3 s deadline
+                result = FakeResult(float("inf"))
+                result.status = SolveStatus.TIMEOUT
+                result.feasible = False
+                return result
+
+            explorer.solve = cut_solve
+            return explorer
+
+        path = tmp_path / "ladder.jsonl"
+        search = kstar_search(
+            factory, ladder=(1, 3),
+            options=SolveOptions(
+                parallel=2, deadline_s=0.3, checkpoint=path
+            ),
+        )
+        assert sorted(started) == [1, 3]
+        assert search.trials == []
+        assert search.stop_reason == "deadline exhausted"
+        assert not path.exists()  # no rung was recorded
+        log = []
+        resumed = kstar_search(
+            make_factory(log), ladder=(1, 3),
+            options=SolveOptions(checkpoint=path, resume=True),
+        )
+        assert log == [1, 3]
+        assert resumed.restored_ks == ()
+        assert json.loads(path.read_text().splitlines()[-1])["k_star"] == 3

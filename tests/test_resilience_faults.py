@@ -148,9 +148,9 @@ class TestSitesEndToEnd:
         from repro.runtime import BatchRunner, Trial
 
         with injected_faults({"worker.crash": 1}) as plan:
-            # Sequential mode calls fn directly (no worker wrapper), so
-            # route through the pooled path with two trials.
-            runner = BatchRunner(workers=2, mode="thread", retries=1)
+            # Inline runs call fn directly (no thread wrapper), so route
+            # through the pool with two trials.
+            runner = BatchRunner(workers=2, retries=1)
             outcomes = runner.run([
                 Trial(lambda: "a"), Trial(lambda: "b"),
             ])

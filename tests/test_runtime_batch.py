@@ -1,10 +1,12 @@
-"""Tests for the batch runner (process/thread pools, retries, ordering)."""
+"""Tests for the batch runner (thread pool, retries, ordering, deadlines)."""
 
+import contextvars
+import threading
 import time
 
 import pytest
 
-from repro.runtime import MODES, BatchRunner, Trial
+from repro.runtime import BatchRunner, Trial
 
 
 def square(x):
@@ -17,10 +19,7 @@ def sleepy_identity(x, delay=0.0):
 
 
 def fail_until_sentinel(path):
-    """Raise on the first call, succeed once the sentinel file exists.
-
-    File-based state survives both process and thread retries.
-    """
+    """Raise on the first call, succeed once the sentinel file exists."""
     if path.exists():
         return "recovered"
     path.write_text("crashed once")
@@ -32,11 +31,6 @@ def always_fails():
 
 
 class TestModes:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            BatchRunner(mode="fork")
-        assert "process" in MODES
-
     def test_invalid_workers_and_retries(self):
         with pytest.raises(ValueError):
             BatchRunner(workers=0)
@@ -44,34 +38,20 @@ class TestModes:
             BatchRunner(retries=-1)
 
     def test_one_worker_is_sequential(self):
-        runner = BatchRunner(workers=1, mode="auto")
-        assert runner._resolve_mode([Trial(square, (2,))] * 3) == "sequential"
-
-    def test_auto_picks_process_for_picklable(self):
-        runner = BatchRunner(workers=2, mode="auto")
-        trials = [Trial(square, (i,)) for i in range(3)]
-        assert runner._resolve_mode(trials) == "process"
-
-    def test_auto_falls_back_to_threads_for_closures(self):
-        runner = BatchRunner(workers=2, mode="auto")
-        captured = {"x": 1}
-        trials = [Trial(lambda: captured["x"]) for _ in range(2)]
-        assert runner._resolve_mode(trials) == "thread"
+        """One worker runs every trial inline, on the caller's thread."""
+        caller = threading.get_ident()
+        outcomes = BatchRunner(workers=1).run(
+            [Trial(threading.get_ident) for _ in range(3)]
+        )
+        assert [o.value for o in outcomes] == [caller] * 3
 
 
 class TestExecution:
     def test_empty_run(self):
         assert BatchRunner(workers=2).run([]) == []
 
-    def test_map_preserves_order_process(self):
-        runner = BatchRunner(workers=2, mode="process")
-        outcomes = runner.map(square, [3, 1, 4, 1, 5])
-        assert [o.value for o in outcomes] == [9, 1, 16, 1, 25]
-        assert [o.index for o in outcomes] == [0, 1, 2, 3, 4]
-        assert all(o.ok and o.attempts == 1 for o in outcomes)
-
     def test_thread_mode_preserves_order_despite_delays(self):
-        runner = BatchRunner(workers=4, mode="thread")
+        runner = BatchRunner(workers=4)
         # The first trial finishes last; ordering must not follow completion.
         outcomes = runner.run([
             Trial(sleepy_identity, (0,), {"delay": 0.2}),
@@ -81,10 +61,12 @@ class TestExecution:
         assert [o.value for o in outcomes] == [0, 1, 2]
 
     def test_sequential_matches_pooled_results(self):
-        items = list(range(8))
-        pooled = BatchRunner(workers=4, mode="process").map(square, items)
-        inline = BatchRunner(workers=1).map(square, items)
+        trials = [Trial(square, (i,)) for i in range(8)]
+        pooled = BatchRunner(workers=4).run(trials)
+        inline = BatchRunner(workers=1).run(trials)
         assert [o.value for o in pooled] == [o.value for o in inline]
+        assert [o.index for o in pooled] == list(range(8))
+        assert all(o.ok and o.attempts == 1 for o in pooled)
 
     def test_bare_callables_are_coerced(self):
         outcomes = BatchRunner(workers=1).run([lambda: 7, lambda: 8])
@@ -94,9 +76,9 @@ class TestExecution:
 class TestFailureHandling:
     def test_crash_retried_once(self, tmp_path):
         sentinel = tmp_path / "crashed"
-        runner = BatchRunner(workers=2, mode="thread", retries=1)
-        (outcome,) = runner.run(
-            [Trial(fail_until_sentinel, (sentinel,)), ]
+        runner = BatchRunner(workers=2, retries=1)
+        outcome, _ = runner.run(
+            [Trial(fail_until_sentinel, (sentinel,)), Trial(square, (2,))]
         )
         assert outcome.ok
         assert outcome.value == "recovered"
@@ -109,7 +91,7 @@ class TestFailureHandling:
         assert outcome.ok and outcome.attempts == 2
 
     def test_permanent_failure_reported_not_raised(self):
-        runner = BatchRunner(workers=2, mode="thread", retries=1)
+        runner = BatchRunner(workers=2, retries=1)
         good, bad = runner.run([Trial(square, (6,)), Trial(always_fails)])
         assert good.value == 36
         assert not bad.ok
@@ -117,109 +99,134 @@ class TestFailureHandling:
         with pytest.raises(ValueError, match="permanent"):
             bad.unwrap()
 
+    def test_retry_queues_behind_waiting_trials(self):
+        """A trial that raised is resubmitted to the back of the pool's
+        queue, not re-run at once in its worker, so one trial does not
+        meet two injected faults in a row while others wait."""
+        lock = threading.Lock()
+        starts = []
+
+        def trial(i):
+            with lock:
+                starts.append(i)
+                first = starts.count(i) == 1
+            if i == 0 and first:
+                raise RuntimeError("transient crash")
+            time.sleep(0.1)
+            return i
+
+        outcomes = BatchRunner(workers=2, retries=1).run(
+            [Trial(trial, (i,)) for i in range(3)]
+        )
+        assert [o.value for o in outcomes] == [0, 1, 2]
+        assert sorted(starts[:3]) == [0, 1, 2]
+        assert starts[3:] == [0]
+
     def test_timeout_marks_outcome(self):
-        runner = BatchRunner(workers=2, mode="thread", timeout_s=0.05)
-        slow, fast = runner.run([
-            Trial(sleepy_identity, (0,), {"delay": 2.0}, label="slow"),
-            Trial(sleepy_identity, (1,)),
-        ])
-        assert slow.timed_out and not slow.ok
-        assert isinstance(slow.error, TimeoutError)
-        assert fast.value == 1
+        """A trial a worker picks up after the budget expired is marked
+        ``timed_out`` without running; the running ones still finish."""
+        from repro.resilience import DeadlineBudget
 
-    def test_per_trial_timeout_overrides_runner(self):
-        runner = BatchRunner(workers=2, mode="thread", timeout_s=0.05)
-        (outcome,) = runner.run([
-            Trial(sleepy_identity, (9,), {"delay": 0.2}, timeout_s=5.0),
-            Trial(square, (1,)),  # second trial forces pooled mode
-        ])[:1]
-        assert outcome.ok and outcome.value == 9
-
-
-def blocked_until(path, poll=0.01):
-    """Busy-wait until the sentinel file exists (hung-worker stand-in)."""
-    while not path.exists():
-        time.sleep(poll)
-    return "finally done"
-
-
-class TestWorkerRecycling:
-    """A timed-out trial must not keep squatting on a pool slot."""
-
-    def test_thread_timeout_recycles_and_later_trials_complete(self, tmp_path):
-        release = tmp_path / "release"
-        runner = BatchRunner(workers=2, mode="thread", timeout_s=0.1)
-        try:
-            outcomes = runner.run([
-                Trial(blocked_until, (release,), label="hung"),
-                Trial(sleepy_identity, (1,)),
-                Trial(sleepy_identity, (2,)),
-                Trial(sleepy_identity, (3,)),
-            ])
-        finally:
-            release.write_text("go")  # unblock the abandoned thread
-        hung, *rest = outcomes
-        assert hung.timed_out and not hung.ok
-        assert isinstance(hung.error, TimeoutError)
-        # The outcome reports measured wall clock, not a placeholder.
-        assert hung.seconds >= 0.1
-        assert "waited" in str(hung.error)
-        assert [o.value for o in rest] == [1, 2, 3]
-        assert runner.recycled_pools == 1
-
-    def test_process_timeout_terminates_worker(self, tmp_path):
-        release = tmp_path / "never"
-        runner = BatchRunner(workers=2, mode="process", timeout_s=0.2)
+        ran = []
+        budget = DeadlineBudget(0.2)
+        runner = BatchRunner(workers=2, budget=budget)
         outcomes = runner.run([
-            Trial(blocked_until, (release,), label="hung"),
-            Trial(square, (4,)),
-            Trial(square, (5,)),
+            Trial(lambda i=i: ran.append(i) or time.sleep(0.5))
+            for i in range(3)
         ])
-        hung, a, b = outcomes
-        assert hung.timed_out and hung.seconds >= 0.2
-        assert (a.value, b.value) == (16, 25)
-        assert runner.recycled_pools == 1
-        # The sentinel never appeared: only a terminated worker explains
-        # the run finishing at all.
+        first, second, late = outcomes
+        assert first.ok and second.ok
+        assert late.timed_out and not late.ok
+        assert isinstance(late.error, TimeoutError)
+        assert late.attempts == 0
+        assert sorted(ran) == [0, 1]
 
-    def test_no_recycle_when_nothing_times_out(self):
-        runner = BatchRunner(workers=2, mode="thread", timeout_s=5.0)
-        runner.run([Trial(square, (2,)), Trial(square, (3,))])
-        assert runner.recycled_pools == 0
+
+class TestWaitsForItsTrials:
+    def test_run_returns_after_every_started_trial_finished(self):
+        """No trial outlives ``run``, none starts twice, and none starts
+        once the budget has expired."""
+        from repro.resilience import DeadlineBudget
+
+        lock = threading.Lock()
+        started, finished = [], []
+
+        def slow(i):
+            with lock:
+                started.append(i)
+            time.sleep(0.4)
+            with lock:
+                finished.append(i)
+            return i
+
+        runner = BatchRunner(workers=2, budget=DeadlineBudget(0.2))
+        outcomes = runner.run([Trial(slow, (i,)) for i in range(4)])
+        assert sorted(started) == sorted(finished) == [0, 1]
+        assert [o.ok for o in outcomes] == [True, True, False, False]
+        assert [o.timed_out for o in outcomes] == [False, False, True, True]
+        time.sleep(0.5)  # nothing left running could append late
+        assert sorted(started) == [0, 1]
+
+    def test_callback_error_waits_for_running_trials(self):
+        """An exception from ``on_outcome`` aborts the run, but only once
+        the trials already running have finished; later ones never
+        start."""
+        lock = threading.Lock()
+        started, finished = [], []
+
+        def slow(i):
+            with lock:
+                started.append(i)
+            time.sleep(0.1 if i == 0 else 0.3)
+            with lock:
+                finished.append(i)
+
+        def abort(outcome):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            BatchRunner(workers=2).run(
+                [Trial(slow, (i,)) for i in range(6)], on_outcome=abort
+            )
+        assert sorted(started) == sorted(finished)
+        assert len(started) < 6
+
+
+class TestContextPropagation:
+    def test_trials_run_in_a_copy_of_the_callers_context(self):
+        """Thread trials see the caller's context variables: spans they
+        open parent under the caller's span in the caller's trace, and
+        a variable they set does not leak back to the caller."""
+        from repro.telemetry.sinks import CollectorSink
+        from repro.telemetry.trace import configure, span
+
+        tag = contextvars.ContextVar("tag", default="unset")
+        caller_thread = threading.get_ident()
+
+        def trial(i):
+            seen = tag.get()
+            tag.set(f"trial{i}")
+            with span("trial.work", i=i):
+                pass
+            return seen, threading.get_ident()
+
+        sink = CollectorSink()
+        configure([sink])
+        tag.set("caller")
+        with span("caller") as root:
+            outcomes = BatchRunner(workers=2).run(
+                [Trial(trial, (i,)) for i in range(4)]
+            )
+        assert tag.get() == "caller"
+        assert [o.value[0] for o in outcomes] == ["caller"] * 4
+        assert all(o.value[1] != caller_thread for o in outcomes)
+        work = [r for r in sink.records if r["name"] == "trial.work"]
+        assert len(work) == 4
+        assert all(r["parent"] == root.span_id for r in work)
+        assert all(r["trace"] == root.trace_id for r in work)
 
 
 class TestResilienceHooks:
-    def test_backoff_between_crash_retries(self, tmp_path):
-        from repro.resilience import RetryPolicy
-
-        slept = []
-        sentinel = tmp_path / "crashed"
-        runner = BatchRunner(
-            workers=1, retries=1,
-            retry_policy=RetryPolicy(base_delay_s=0.125, multiplier=2.0),
-            sleep=slept.append,
-        )
-        (outcome,) = runner.run([Trial(fail_until_sentinel, (sentinel,))])
-        assert outcome.ok and outcome.attempts == 2
-        assert slept == [pytest.approx(0.125)]
-
-    def test_backoff_pooled_mode(self, tmp_path):
-        from repro.resilience import RetryPolicy
-
-        slept = []
-        sentinel = tmp_path / "crashed"
-        runner = BatchRunner(
-            workers=2, mode="thread", retries=1,
-            retry_policy=RetryPolicy(base_delay_s=0.25),
-            sleep=slept.append,
-        )
-        outcomes = runner.run([
-            Trial(fail_until_sentinel, (sentinel,)),
-            Trial(square, (3,)),
-        ])
-        assert outcomes[0].ok and outcomes[1].value == 9
-        assert slept == [pytest.approx(0.25)]
-
     def test_expired_budget_fails_trials_fast(self):
         from repro.resilience import DeadlineBudget
 
@@ -232,22 +239,6 @@ class TestResilienceHooks:
         assert not outcome.ok and outcome.timed_out
         assert isinstance(outcome.error, TimeoutError)
         assert started == []  # never dispatched
-
-    def test_budget_clips_effective_timeout(self):
-        from repro.resilience import DeadlineBudget
-
-        clock = [0.0]
-        budget = DeadlineBudget(0.4, clock=lambda: clock[0])
-        runner = BatchRunner(
-            workers=2, mode="thread", timeout_s=60.0, budget=budget
-        )
-        assert runner._effective_timeout(Trial(square, (1,))) == (
-            pytest.approx(0.4)
-        )
-        clock[0] = 0.3
-        assert runner._effective_timeout(Trial(square, (1,))) == (
-            pytest.approx(0.1)
-        )
 
 
 class TestOutcomeStreaming:
@@ -265,7 +256,7 @@ class TestOutcomeStreaming:
 
     def test_pooled_callback_fires_per_outcome(self):
         seen = []
-        runner = BatchRunner(workers=2, mode="thread")
+        runner = BatchRunner(workers=2)
         outcomes = runner.run(
             [Trial(sleepy_identity, (i,), {"delay": 0.01}) for i in range(5)],
             on_outcome=seen.append,
@@ -287,31 +278,3 @@ class TestOutcomeStreaming:
         )
         assert len(seen) == 2
         assert all(o.timed_out for o in seen)  # budget already spent
-
-
-class TestAbandonedThreadDetach:
-    def test_recycled_threads_leave_the_exit_hook(self, tmp_path):
-        """The abandoned pool's workers must not be joined at interpreter
-        exit — a permanently hung solve would block process shutdown."""
-        import concurrent.futures.thread as cf_thread
-        import threading
-
-        release = tmp_path / "release"
-        runner = BatchRunner(workers=2, mode="thread", timeout_s=0.1)
-        try:
-            runner.run([
-                Trial(blocked_until, (release,), label="hung"),
-                Trial(sleepy_identity, (1,)),
-            ])
-            assert runner.recycled_pools == 1
-            # The hung worker is still alive but no longer registered
-            # with the atexit join hook.
-            detached = [
-                t for t in threading.enumerate()
-                if t.is_alive()
-                and t.name.startswith("ThreadPoolExecutor")
-                and t not in cf_thread._threads_queues
-            ]
-            assert detached, "hung worker should be alive but detached"
-        finally:
-            release.write_text("go")

@@ -210,7 +210,7 @@ class TestPerTrialAttribution:
             return stats
 
         per_trial = [RunStats() for _ in range(n_trials)]
-        runner = BatchRunner(workers=n_trials, mode="thread", retries=0)
+        runner = BatchRunner(workers=n_trials, retries=0)
         outcomes = runner.run([Trial(trial, (s,)) for s in per_trial])
         assert all(o.ok for o in outcomes)
 

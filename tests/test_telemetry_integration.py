@@ -7,7 +7,6 @@ trajectory events from the branch-and-bound solver riding along.
 """
 
 import json
-import os
 
 from repro.analysis.diagnostics import Severity
 from repro.core import DataCollectionExplorer, SolveOptions, explore_pareto
@@ -15,11 +14,10 @@ from repro.encoding import ApproximatePathEncoder
 from repro.milp import BranchAndBoundSolver, SolveStatus
 from repro.network import LifetimeRequirement, RequirementSet
 from repro.resilience.watchdog import ResilientSolver
-from repro.runtime import BatchRunner, EncodeCache
-from repro.runtime.batch import Trial
-from repro.telemetry.schema import check_tree, validate_file
-from repro.telemetry.sinks import CollectorSink, JsonlSink
-from repro.telemetry.trace import configure, shutdown, span
+from repro.runtime import EncodeCache
+from repro.telemetry.schema import validate_file
+from repro.telemetry.sinks import JsonlSink
+from repro.telemetry.trace import configure, shutdown
 
 
 def _bnb_explorer(grid_instance, library):
@@ -90,34 +88,6 @@ class TestParallelSweepTrace:
             s["span"] for s in spans if s["name"] == "solver.solve"
         }
         assert all(e["span"] in solver_span_ids for e in events)
-
-    def test_process_workers_fold_into_the_parent_tree(self):
-        """Spans opened inside *process* pool workers are buffered, shipped
-        back with the result and re-emitted under the submitting span."""
-        sink = CollectorSink()
-        configure([sink])
-        runner = BatchRunner(workers=2, mode="process", retries=0)
-        with span("batch.root") as root:
-            outcomes = runner.run(
-                [Trial(_traced_square, (i,), label=f"t{i}") for i in range(3)]
-            )
-        assert [o.unwrap() for o in outcomes] == [0, 1, 4]
-
-        workers = [
-            r for r in sink.records
-            if r["type"] == "span" and r["name"] == "worker.square"
-        ]
-        assert len(workers) == 3
-        assert all(w["parent"] == root.span_id for w in workers)
-        assert all(w["trace"] == root.trace_id for w in workers)
-        assert all(w["pid"] != os.getpid() for w in workers)
-        assert check_tree(sink.records) == []
-
-
-def _traced_square(i):
-    """Module-level so it pickles into process-pool workers."""
-    with span("worker.square", i=i):
-        return i * i
 
 
 class TestSinkFailureDiagnostics:

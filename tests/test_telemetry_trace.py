@@ -1,4 +1,4 @@
-"""Tests for the tracing spans and cross-worker context propagation."""
+"""Tests for the tracing spans, events and sink-failure isolation."""
 
 import os
 
@@ -7,16 +7,12 @@ import pytest
 from repro.telemetry.sinks import CollectorSink
 from repro.telemetry.trace import (
     NULL_SPAN,
-    SpanContext,
     add_event,
-    adopt,
-    capture,
     configure,
     current_context,
     drain_drop_warnings,
     enabled,
     get_tracer,
-    ingest,
     new_id,
     shutdown,
     span,
@@ -41,9 +37,8 @@ class TestDisabled:
             handle.event("ev")
         assert handle.span_id == ""
 
-    def test_add_event_and_capture_are_noops(self):
+    def test_add_event_is_a_noop(self):
         add_event("nobody.listens")
-        assert capture() is None
         assert current_context() is None
 
 
@@ -101,48 +96,6 @@ class TestSpans:
     def test_event_without_open_span_is_dropped(self, collector):
         add_event("floating")
         assert collector.records == []
-
-
-class TestPropagation:
-    def test_capture_returns_current_context(self, collector):
-        with span("root") as root:
-            ctx = capture()
-        assert ctx is not None
-        assert ctx.span_id == root.span_id
-        assert ctx.pid == os.getpid()
-
-    def test_adopt_same_process_flows_into_shared_tracer(self, collector):
-        with span("root") as root:
-            ctx = capture()
-        with adopt(ctx) as scope:
-            with span("child"):
-                pass
-            assert scope.records() == ()  # nothing buffered in-process
-        child = next(r for r in collector.records if r["name"] == "child")
-        assert child["parent"] == root.span_id
-        assert child["trace"] == root.trace_id
-
-    def test_adopt_foreign_pid_buffers_and_ingest_reemits(self, collector):
-        # Simulate a process worker: a context stamped with a pid that is
-        # not ours forces the buffer-and-return path even in one process.
-        ctx = SpanContext(trace_id=new_id(16), span_id=new_id(), pid=-1)
-        with adopt(ctx) as scope:
-            with span("worker.task", k=1):
-                pass
-            records = scope.records()
-        assert len(records) == 1
-        assert records[0]["parent"] == ctx.span_id
-        # The buffered record did not reach the parent sink...
-        assert all(r["name"] != "worker.task" for r in collector.records)
-        # ...until the parent ingests it.  (adopt() re-armed our sinks on
-        # exit being shut down, so re-configure as the parent would be.)
-        configure([collector])
-        ingest(records)
-        assert any(r["name"] == "worker.task" for r in collector.records)
-
-    def test_adopt_none_is_a_noop(self):
-        with adopt(None) as scope:
-            assert scope.records() == ()
 
 
 class TestSinkFailureIsolation:

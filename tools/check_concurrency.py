@@ -1,9 +1,11 @@
 #!/usr/bin/env python
-"""Repo-local concurrency lint for the server and telemetry trees.
+"""Repo-local concurrency lint for the trees that run threads.
 
 Two hazards have bitten (or nearly bitten) this codebase and are cheap
 to catch statically, so CI runs this checker over ``src/repro/server``
-and ``src/repro/telemetry``:
+and ``src/repro/telemetry``, ``src/repro/runtime`` (the batch runner's
+thread pool) and ``src/repro/resilience`` (the solver watchdog's guard
+thread):
 
 ``lock-no-with``
     A bare ``lock.acquire()`` call.  If the critical section raises, the
@@ -28,7 +30,7 @@ Usage::
 
     python tools/check_concurrency.py [--json] [PATH ...]
 
-Paths default to the two audited trees.  Exit status is 1 when any
+Paths default to the four audited trees.  Exit status is 1 when any
 finding survives suppression, 0 otherwise — mirroring ``repro lint``.
 """
 
@@ -45,6 +47,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PATHS = (
     REPO_ROOT / "src" / "repro" / "server",
     REPO_ROOT / "src" / "repro" / "telemetry",
+    REPO_ROOT / "src" / "repro" / "runtime",
+    REPO_ROOT / "src" / "repro" / "resilience",
 )
 SUPPRESS_MARK = "# concurrency: ok"
 
@@ -205,7 +209,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint "
-                             "(default: src/repro/server, src/repro/telemetry)")
+                             "(default: src/repro/server, "
+                             "src/repro/telemetry, src/repro/runtime, "
+                             "src/repro/resilience)")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as JSON on stdout")
     args = parser.parse_args(argv)

@@ -91,9 +91,7 @@ from repro.resilience import (
     FaultError,
     FaultPlan,
     ResilientSolver,
-    RetryPolicy,
     SolveAttempt,
-    SolveFailure,
     injected_faults,
 )
 from repro.runtime import BatchRunner, EncodeCache, RunStats, Trial, TrialOutcome
@@ -153,7 +151,6 @@ __all__ = [
     "RequirementSet",
     "ResiliencyReport",
     "ResilientSolver",
-    "RetryPolicy",
     "Route",
     "RouteRequirement",
     "RunStats",
@@ -162,7 +159,6 @@ __all__ = [
     "ScenarioRegistry",
     "Severity",
     "SolveAttempt",
-    "SolveFailure",
     "SolveOptions",
     "SolveStatus",
     "SurvivabilityReport",

@@ -34,8 +34,8 @@ from repro.encoding.approximate import ApproximatePathEncoder
 from repro.library.catalog import Library
 from repro.network.requirements import ReachabilityRequirement, RequirementSet
 from repro.network.template import Template
-from repro.resilience.policy import DeadlineBudget, RetryPolicy
-from repro.resilience.watchdog import ResilientSolver
+from repro.resilience.policy import DeadlineBudget
+from repro.resilience.watchdog import under_watchdog
 from repro.runtime.batch import BatchRunner, Trial
 from repro.runtime.cache import EncodeCache
 from repro.telemetry.trace import span
@@ -143,11 +143,14 @@ def explore(
 
     ``options.deadline_s`` (or an explicit ``budget``) bounds the whole
     call's wall clock and ``options.max_retries`` caps solver retries;
-    setting either wraps the solver in a
-    :class:`~repro.resilience.watchdog.ResilientSolver` (retry on
+    setting either puts the solver under the watchdog
+    (:func:`~repro.resilience.watchdog.under_watchdog`: retry on
     ``ERROR``/crash, fallback chain, incumbent acceptance at the
     deadline — see docs/robustness.md), and each result then carries
-    its per-attempt log under ``result.solve_attempts``.  An objective
+    its per-attempt log under ``result.solve_attempts``.  A
+    :class:`~repro.resilience.watchdog.ResilientSolver` passed as
+    ``solver`` keeps its own settings and takes the call's budget when
+    it has none of its own.  An objective
     whose solve would start after the budget is spent degrades to a
     status-only ``TIMEOUT`` result in its slot rather than raising; any
     other failure is raised.
@@ -182,10 +185,7 @@ def explore(
         cache = EncodeCache()
     if budget is None:
         budget = opts.budget()
-    resilient = budget is not None or opts.max_retries is not None
-    if resilient and not isinstance(solver, ResilientSolver):
-        retry = opts.retry_policy() or RetryPolicy()
-        solver = ResilientSolver(solver, budget=budget, retry=retry)
+    solver = under_watchdog(solver, budget, opts.max_retries)
     explorer = build_explorer(
         template, library, requirements,
         encoder=encoder, solver=solver, channel=channel,

@@ -25,8 +25,9 @@ Resilience (see :mod:`repro.resilience` and docs/robustness.md):
   stops with ``"deadline exhausted"`` once the budget is spent; a rung
   the deadline stops before it finds a design is dropped and left off
   the checkpoint, so a resume solves it again;
-* ``retry`` wraps each rung's solver in a
-  :class:`~repro.resilience.watchdog.ResilientSolver` (retry on
+* ``options.max_retries`` (like a deadline) puts each rung's solver
+  under the watchdog
+  (:func:`~repro.resilience.watchdog.under_watchdog`: retry on
   ``ERROR``/crash, fallback chain, incumbent acceptance);
 * ``options.checkpoint`` persists every completed rung as a JSONL
   record; with ``options.resume`` a killed ladder replays the recorded
@@ -55,8 +56,8 @@ from repro.resilience.checkpoint import (
 )
 from repro.runtime.instrumentation import STATS_SCHEMA_VERSION
 from repro.resilience.faults import maybe_fire
-from repro.resilience.policy import DeadlineBudget, RetryPolicy
-from repro.resilience.watchdog import ResilientSolver
+from repro.resilience.policy import DeadlineBudget
+from repro.resilience.watchdog import under_watchdog
 from repro.runtime.batch import BatchRunner, Trial
 from repro.runtime.cache import EncodeCache
 from repro.telemetry import metrics as _metrics
@@ -174,10 +175,8 @@ def kstar_search(
     time_threshold_s: float | None = None,
     min_relative_gain: float = 1e-3,
     *,
-    runner: BatchRunner | None = None,
     cache: EncodeCache | None = None,
     budget: DeadlineBudget | None = None,
-    retry: RetryPolicy | None = None,
     options: SolveOptions | None = None,
 ) -> KStarSearchResult:
     """Climb the K* ladder until time or improvement runs out.
@@ -189,17 +188,19 @@ def kstar_search(
     turns an infeasible ladder feasible always counts as an improvement.
 
     ``options`` is the unified :class:`~repro.core.options.SolveOptions`
-    surface: with ``options.parallel > 1`` (or an explicit ``runner``)
-    the rungs are solved speculatively through the runtime and the stop
-    rules applied afterwards — the outcome is identical to the
-    sequential scan, rungs past the stop point are simply discarded.
+    surface: with ``options.parallel > 1`` the rungs are solved
+    speculatively through the runtime and the stop rules applied
+    afterwards — the outcome is identical to the sequential scan, rungs
+    past the stop point are simply discarded.
     A sequential scan warm-starts each rung from the last feasible
     rung's design (:mod:`repro.accel.warmstart`); parallel rungs start
     cold.
     ``options.deadline_s`` (or an explicit ``budget``) caps the ladder's
-    wall clock; ``options.max_retries`` (or an explicit ``retry``
-    policy) turns every rung's solver into a
-    :class:`~repro.resilience.watchdog.ResilientSolver`.
+    wall clock; either it or ``options.max_retries`` puts every rung's
+    solver under the watchdog
+    (:func:`~repro.resilience.watchdog.under_watchdog`; a shared
+    :class:`~repro.resilience.watchdog.ResilientSolver` is copied, never
+    mutated).
     ``options.checkpoint`` names a JSONL file receiving one record per
     completed rung, written as each rung's solve lands (also under
     ``parallel``); ``options.resume`` replays recorded rungs instead of
@@ -220,8 +221,6 @@ def kstar_search(
     checkpoint: str | Path | None = opts.checkpoint
     if budget is None:
         budget = opts.budget()
-    if retry is None:
-        retry = opts.retry_policy()
     failures = opts.failures
     ladder = tuple(ladder)
     with span(
@@ -238,10 +237,9 @@ def kstar_search(
             time_threshold_s,
             min_relative_gain,
             parallel=parallel,
-            runner=runner,
             cache=cache,
             budget=budget,
-            retry=retry,
+            max_retries=opts.max_retries,
             checkpoint=checkpoint,
             resume=resume,
             failures=failures,
@@ -262,10 +260,9 @@ def _kstar_search_impl(
     min_relative_gain: float,
     *,
     parallel: int,
-    runner: BatchRunner | None,
     cache: EncodeCache | None,
     budget: DeadlineBudget | None,
-    retry: RetryPolicy | None,
+    max_retries: int | None,
     checkpoint: str | Path | None,
     resume: bool,
     failures: str | None = None,
@@ -305,8 +302,8 @@ def _kstar_search_impl(
             maybe_fire("kstar.abort")
         return trial
 
-    if parallel > 1 or runner is not None:
-        runner = runner or BatchRunner(workers=parallel, budget=budget)
+    if parallel > 1:
+        runner = BatchRunner(workers=parallel, budget=budget)
         pending = [k for k in ladder if k not in restored]
         solved: dict[int, KStarTrial] = {}
         timed_out: set[int] = set()
@@ -327,7 +324,7 @@ def _kstar_search_impl(
         outcomes = runner.run([
             Trial(
                 _solve_rung,
-                (make_explorer, k, objective, cache, budget, retry,
+                (make_explorer, k, objective, cache, budget, max_retries,
                  failures),
                 label=f"kstar:K={k}",
             )
@@ -372,7 +369,7 @@ def _kstar_search_impl(
                     deadline_hit = True
                     return
                 trial = _solve_rung(make_explorer, k, objective, cache,
-                                    budget, retry, failures,
+                                    budget, max_retries, failures,
                                     previous_architecture=previous)
                 if _cut_off(trial, budget):
                     # Not a result: keep it off the checkpoint so a
@@ -419,7 +416,7 @@ def _solve_rung(
     objective: str,
     cache: EncodeCache | None,
     budget: DeadlineBudget | None = None,
-    retry: RetryPolicy | None = None,
+    max_retries: int | None = None,
     failures: str | None = None,
     previous_architecture=None,
 ) -> KStarTrial:
@@ -433,8 +430,9 @@ def _solve_rung(
             explorer.failures = failures
         if previous_architecture is not None:
             explorer.warm_start_architecture = previous_architecture
-        if budget is not None or retry is not None:
-            explorer.solver = _resilient(explorer.solver, budget, retry)
+        explorer.solver = under_watchdog(
+            explorer.solver, budget, max_retries
+        )
         result = explorer.solve(objective)
         if (
             getattr(explorer, "failures", None) is not None
@@ -454,19 +452,6 @@ def _solve_rung(
         _metrics.gauge("kstar.rung_size").set(k)
         _metrics.histogram("kstar.rung_seconds").observe(trial.seconds)
         return trial
-
-
-def _resilient(
-    solver, budget: DeadlineBudget | None, retry: RetryPolicy | None
-):
-    """``solver`` under the watchdog (idempotent for wrapped solvers)."""
-    if isinstance(solver, ResilientSolver):
-        if budget is not None and solver.budget is None:
-            solver.budget = budget
-        return solver
-    return ResilientSolver(
-        solver, budget=budget, retry=retry or RetryPolicy()
-    )
 
 
 def scan_ladder(

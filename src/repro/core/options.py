@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.resilience.policy import DeadlineBudget, RetryPolicy
+from repro.resilience.policy import DeadlineBudget
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -37,7 +37,8 @@ class SolveOptions:
 
     #: Wall-clock budget for the whole call (``None`` = unlimited).
     deadline_s: float | None = None
-    #: Solver retry cap (enables the resilient solver watchdog when set).
+    #: Solver retry cap per backend (puts the solver under the watchdog
+    #: when set, as ``deadline_s`` does).
     max_retries: int | None = None
     #: Worker count for sweeps routed through the batch runner.
     parallel: int = 1
@@ -81,18 +82,6 @@ class SolveOptions:
         if self.deadline_s is None:
             return None
         return DeadlineBudget(self.deadline_s)
-
-    def retry_policy(self) -> RetryPolicy | None:
-        """The retry policy implied by ``max_retries`` (``None`` when
-        unset, leaving each entry point's default in force)."""
-        if self.max_retries is None:
-            return None
-        return RetryPolicy(max_retries=self.max_retries)
-
-    @property
-    def resilient(self) -> bool:
-        """Whether any field asks for the solver watchdog."""
-        return self.deadline_s is not None or self.max_retries is not None
 
     # -- serialization ------------------------------------------------------
 

@@ -17,8 +17,8 @@ added before the first solve.
 
 Resilience (see :mod:`repro.resilience` and docs/robustness.md): a
 ``budget`` (or ``options.deadline_s``) clips every solve to the sweep's
-remaining wall clock; ``retry`` puts each solve under the
-:class:`~repro.resilience.watchdog.ResilientSolver`;
+remaining wall clock; it or ``options.max_retries`` puts each solve
+under the watchdog (:func:`~repro.resilience.watchdog.under_watchdog`);
 ``options.checkpoint`` persists the two extremes and every completed
 sweep point as JSONL so a killed sweep resumes (``options.resume``)
 without re-solving them.
@@ -40,8 +40,8 @@ from repro.resilience.checkpoint import (
     RestoredResult,
     restored_result,
 )
-from repro.resilience.policy import DeadlineBudget, RetryPolicy
-from repro.resilience.watchdog import ResilientSolver
+from repro.resilience.policy import DeadlineBudget
+from repro.resilience.watchdog import under_watchdog
 from repro.runtime.batch import BatchRunner, Trial
 from repro.runtime.instrumentation import STATS_SCHEMA_VERSION
 from repro.telemetry.trace import span
@@ -149,9 +149,7 @@ def explore_pareto(
     secondary: str = "energy",
     points: int = 6,
     *,
-    runner: BatchRunner | None = None,
     budget: DeadlineBudget | None = None,
-    retry: RetryPolicy | None = None,
     options: SolveOptions | None = None,
 ) -> ParetoFront:
     """Sweep the epsilon-constraint front between the two extremes.
@@ -163,18 +161,18 @@ def explore_pareto(
 
     Runtime behaviour comes in one
     :class:`~repro.core.options.SolveOptions` object.  With
-    ``options.parallel > 1`` (or an explicit ``runner``) the budget
-    solves run concurrently on threads, sharing the explorer's encode
-    cache; the front is identical either way because each budget is an
-    independent MILP.  A sequential sweep warm-starts each point from
+    ``options.parallel > 1`` the budget solves run concurrently on
+    threads, sharing the explorer's encode cache; the front is identical
+    either way because each budget is an independent MILP.  A sequential sweep warm-starts each point from
     the previous point's design (:mod:`repro.accel.warmstart`); the
     extremes, the first point and parallel points start cold.
 
     ``options.deadline_s`` (or an explicit ``budget``) bounds the whole
     sweep; points the deadline cuts off are omitted from the front (and
     left out of the checkpoint, so a resume re-solves them) rather than
-    failing the sweep.  ``retry`` (or ``options.max_retries``) puts
-    every solve under the solver watchdog, and
+    failing the sweep.  The deadline or ``options.max_retries`` puts
+    every solve under the solver watchdog for the sweep only (the
+    explorer's own solver is restored afterwards, never mutated), and
     ``options.checkpoint``/``options.resume`` persist and replay the
     extremes and completed sweep points, each written the moment its
     solve lands (the checkpoint must describe the same
@@ -186,8 +184,6 @@ def explore_pareto(
     checkpoint: str | Path | None = opts.checkpoint
     if budget is None:
         budget = opts.budget()
-    if retry is None:
-        retry = opts.retry_policy()
     if points < 2:
         raise ValueError("need at least two sweep points")
     if primary == secondary:
@@ -226,8 +222,9 @@ def explore_pareto(
     original_solver = explorer.solver
     original_failures = getattr(explorer, "failures", None)
     original_seed = getattr(explorer, "warm_start_architecture", None)
-    if budget is not None or retry is not None:
-        explorer.solver = _resilient(original_solver, budget, retry)
+    explorer.solver = under_watchdog(
+        original_solver, budget, opts.max_retries
+    )
     # The extremes and the first point solve cold; a sequential sweep
     # then chains each point's design into the next point's warm start.
     explorer.warm_start_architecture = None
@@ -245,7 +242,7 @@ def explore_pareto(
         ) as sweep_span:
             front = _sweep(
                 explorer, primary, secondary, points,
-                parallel=parallel, runner=runner, budget=budget,
+                parallel=parallel, budget=budget,
                 ckpt=ckpt, restored_extremes=restored_extremes,
                 restored_points=restored_points,
             )
@@ -257,19 +254,6 @@ def explore_pareto(
         explorer.warm_start_architecture = original_seed
 
 
-def _resilient(
-    solver, budget: DeadlineBudget | None, retry: RetryPolicy | None
-):
-    """``solver`` under the watchdog (idempotent for wrapped solvers)."""
-    if isinstance(solver, ResilientSolver):
-        if budget is not None and solver.budget is None:
-            solver.budget = budget
-        return solver
-    return ResilientSolver(
-        solver, budget=budget, retry=retry or RetryPolicy()
-    )
-
-
 def _sweep(
     explorer: ExplorerBase,
     primary: str,
@@ -277,7 +261,6 @@ def _sweep(
     points: int,
     *,
     parallel: int,
-    runner: BatchRunner | None,
     budget: DeadlineBudget | None,
     ckpt: Checkpoint | None,
     restored_extremes: dict[str, dict],
@@ -305,10 +288,10 @@ def _sweep(
         if ckpt is not None:
             ckpt.append(_point_record(index, b, point))
 
-    if parallel > 1 or runner is not None:
+    if parallel > 1:
         # Threads keep the explorer (and its cache) shared; the MILP
         # solves release the GIL inside HiGHS.
-        runner = runner or BatchRunner(workers=parallel, budget=budget)
+        runner = BatchRunner(workers=parallel, budget=budget)
 
         def collect(outcome) -> None:
             if outcome.ok:

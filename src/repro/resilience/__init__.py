@@ -2,15 +2,15 @@
 
 ``repro.resilience`` makes the solve stack survive the failures MILP
 practice actually hits — unpredictable solve times, solver ``ERROR``
-statuses, crashed or hung workers, killed runs:
+statuses, crashing solvers and workers, killed runs:
 
-* :mod:`~repro.resilience.policy` — hierarchical
-  :class:`DeadlineBudget`\\ s (facade → ladder → rung → solver
-  ``time_limit``) and deterministic :class:`RetryPolicy` backoff;
+* :mod:`~repro.resilience.policy` — the flat :class:`DeadlineBudget`
+  one call's deadline becomes, read by every layer down to the solver's
+  ``time_limit``;
 * :mod:`~repro.resilience.watchdog` — :class:`ResilientSolver`, which
-  wraps any MILP backend with per-attempt timeouts, retry-on-error, a
-  fallback chain and incumbent acceptance at the deadline, logging every
-  :class:`SolveAttempt`;
+  wraps any MILP backend with per-attempt timeouts, retry-on-error with
+  a fixed backoff, a fallback chain and incumbent acceptance at the
+  deadline, logging every :class:`SolveAttempt`;
 * :mod:`~repro.resilience.checkpoint` — schema-versioned JSONL
   :class:`Checkpoint`\\ s with atomic writes, so killed K*/Pareto sweeps
   resume and select the identical winner;
@@ -39,23 +39,16 @@ from repro.resilience.faults import (
     InjectedHang,
     injected_faults,
 )
-from repro.resilience.policy import (
-    NO_RETRY,
-    DeadlineBudget,
-    RetryPolicy,
-)
+from repro.resilience.policy import DeadlineBudget
 from repro.resilience.watchdog import (
     ResilientSolver,
     SolveAttempt,
-    SolveFailure,
-    SolverHang,
     attempt_counters,
     default_fallbacks,
 )
 
 __all__ = [
     "ENV_VAR",
-    "NO_RETRY",
     "SCHEMA_VERSION",
     "SITES",
     "Checkpoint",
@@ -67,10 +60,7 @@ __all__ = [
     "InjectedHang",
     "ResilientSolver",
     "RestoredResult",
-    "RetryPolicy",
     "SolveAttempt",
-    "SolveFailure",
-    "SolverHang",
     "attempt_counters",
     "default_fallbacks",
     "injected_faults",

@@ -1,17 +1,12 @@
-"""Deadline budgets and retry policies for the solve stack.
+"""The deadline budget of the solve stack.
 
-The DSE ladder is a hierarchy of wall-clock consumers: the facade runs a
-sweep, the sweep runs ladder rungs, a rung runs solver attempts, and a
-solver attempt gets a ``time_limit``.  A :class:`DeadlineBudget` models
-that hierarchy explicitly — every level derives a child budget, and the
-remaining time at any node is the minimum over its chain of ancestors —
-so one ``--deadline`` flag bounds the whole run without any layer
-over- or under-spending.
-
-A :class:`RetryPolicy` is the companion backoff schedule for retrying
-crashed or erroring solves.  Both classes take an injectable clock (and
-the sleeps take an injectable ``sleep``), so tests drive them with a fake
-clock and run instantly and deterministically.
+One ``--deadline`` (``SolveOptions.deadline_s``) becomes one flat
+:class:`DeadlineBudget` for the whole call.  Every layer below reads the
+same object: the sweeps stop starting rungs or points once it expires,
+the batch runner declines to start trials past it, and the solver
+watchdog clips each attempt's ``time_limit`` and each retry backoff to
+its remaining time.  The clock is injectable, so tests drive budgets
+with a fake clock and run instantly and deterministically.
 """
 
 from __future__ import annotations
@@ -19,156 +14,70 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 
 #: Clock signature: a monotonic ``() -> float`` in seconds.
 Clock = Callable[[], float]
 #: Sleep signature: ``(seconds) -> None``.
 Sleep = Callable[[float], None]
 
+#: The smallest ``time_limit`` handed to a solver: an almost-expired
+#: budget still yields a valid (tiny) limit, not a zero or negative one.
+_MIN_TIME_LIMIT_S = 1e-3
+
 
 class DeadlineBudget:
-    """A hierarchical wall-clock budget.
+    """A wall-clock budget: ``seconds`` from construction, or unlimited.
 
-    ``seconds=None`` means unlimited at this level (the chain above may
-    still bound it).  Budgets are immutable after construction; derive
-    tighter scopes with :meth:`sub`.
+    ``seconds=None`` never expires.  Budgets are immutable after
+    construction.
 
-    Example (facade → ladder rung → solver attempt)::
+    Example (a call's budget → a solver attempt's limit)::
 
         run = DeadlineBudget(600.0)
-        rung = run.sub(120.0)         # at most 120 s, and never past run
-        limit = rung.solver_time_limit(cap=60.0)   # per-attempt time_limit
+        limit = run.solver_time_limit(cap=60.0)   # per-attempt time_limit
     """
 
-    __slots__ = ("_clock", "_deadline", "parent")
+    __slots__ = ("_clock", "_deadline")
 
     def __init__(
-        self,
-        seconds: float | None = None,
-        *,
-        clock: Clock = time.monotonic,
-        parent: DeadlineBudget | None = None,
+        self, seconds: float | None = None, *, clock: Clock = time.monotonic
     ) -> None:
         if seconds is not None and seconds < 0:
             raise ValueError("budget seconds must be non-negative")
         self._clock = clock
-        self.parent = parent
         self._deadline = None if seconds is None else clock() + seconds
 
-    @classmethod
-    def unlimited(cls, *, clock: Clock = time.monotonic) -> DeadlineBudget:
-        """A budget that never expires (useful as a neutral default)."""
-        return cls(None, clock=clock)
-
-    def sub(self, seconds: float | None = None) -> DeadlineBudget:
-        """A child budget: at most ``seconds`` from now, never past any
-        ancestor's deadline."""
-        return DeadlineBudget(seconds, clock=self._clock, parent=self)
-
     def remaining(self) -> float:
-        """Seconds left before the tightest deadline in the chain
-        (``inf`` when fully unlimited; never below 0)."""
-        now = self._clock()
-        rem = math.inf
-        node: DeadlineBudget | None = self
-        while node is not None:
-            if node._deadline is not None:
-                rem = min(rem, node._deadline - now)
-            node = node.parent
-        return max(rem, 0.0)
+        """Seconds left before the deadline (``inf`` when unlimited;
+        never below 0)."""
+        if self._deadline is None:
+            return math.inf
+        return max(self._deadline - self._clock(), 0.0)
 
     @property
     def limited(self) -> bool:
-        """Whether any level of the chain carries a deadline."""
-        node: DeadlineBudget | None = self
-        while node is not None:
-            if node._deadline is not None:
-                return True
-            node = node.parent
-        return False
+        """Whether the budget carries a deadline."""
+        return self._deadline is not None
 
     @property
     def expired(self) -> bool:
-        """Whether the tightest deadline has passed."""
-        return self.limited and self.remaining() <= 0.0
+        """Whether the deadline has passed."""
+        return self.remaining() <= 0.0
 
-    def solver_time_limit(
-        self, cap: float | None = None, *, floor: float = 1e-3
-    ) -> float | None:
+    def solver_time_limit(self, cap: float | None = None) -> float | None:
         """The ``time_limit`` to hand a solver attempt.
 
         The minimum of ``cap`` (the solver's own configured limit, if
         any) and the budget's remaining time; ``None`` when both are
-        unlimited.  Clamped below by ``floor`` so an almost-expired
-        budget still produces a valid (tiny) solver limit rather than a
-        zero or negative one.
+        unlimited.  Never below 1 ms, so an almost-expired budget still
+        produces a valid solver limit.
         """
-        rem = self.remaining() if self.limited else math.inf
-        if cap is not None:
-            rem = min(rem, cap)
+        rem = self.remaining() if cap is None else min(self.remaining(), cap)
         if math.isinf(rem):
             return None
-        return max(rem, floor)
+        return max(rem, _MIN_TIME_LIMIT_S)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.limited:
             return "DeadlineBudget(unlimited)"
         return f"DeadlineBudget(remaining={self.remaining():.3f}s)"
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff for retrying failed solve attempts.
-
-    ``max_retries`` is the number of *re*-tries — a policy with
-    ``max_retries=2`` allows three attempts total.  Delays grow as
-    ``base_delay_s * multiplier**(attempt-1)``, capped at
-    ``max_delay_s``; the schedule is fully deterministic (no jitter) so
-    fault-injection tests replay exactly.
-    """
-
-    max_retries: int = 2
-    base_delay_s: float = 0.05
-    multiplier: float = 2.0
-    max_delay_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-
-    @property
-    def attempts(self) -> int:
-        """Total attempts allowed (first try + retries)."""
-        return self.max_retries + 1
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retrying after failed attempt ``attempt``
-        (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        return min(
-            self.base_delay_s * self.multiplier ** (attempt - 1),
-            self.max_delay_s,
-        )
-
-    def backoff(
-        self, attempt: int, *, sleep: Sleep = time.sleep,
-        budget: DeadlineBudget | None = None,
-    ) -> float:
-        """Sleep the attempt's backoff (clipped to the budget's remaining
-        time) and return the seconds actually slept."""
-        pause = self.delay(attempt)
-        if budget is not None and budget.limited:
-            pause = min(pause, budget.remaining())
-        if pause > 0:
-            sleep(pause)
-        return pause
-
-
-#: A policy that never retries (single attempt, no backoff).
-NO_RETRY = RetryPolicy(max_retries=0, base_delay_s=0.0)

@@ -4,17 +4,22 @@ MILP solve times are unpredictable and solvers fail in practice — they
 time out, return ``ERROR``, or crash outright.  :class:`ResilientSolver`
 wraps any MILP backend with the standard MILP-practice response ladder:
 
-1. **Per-attempt time limits** derived from a hierarchical
+1. **Per-attempt time limits** clipped to the call's flat
    :class:`~repro.resilience.policy.DeadlineBudget` (never exceed the
    run's deadline, never exceed the backend's own configured limit);
-2. **Retry with exponential backoff** on ``ERROR``/crash/hang, under an
-   injectable :class:`~repro.resilience.policy.RetryPolicy`;
+2. **Retry with backoff** on ``ERROR``/crash/hang, up to
+   ``max_retries`` times per backend, pausing 0.05 s and doubling up
+   to 2 s, each pause clipped to the budget;
 3. **A fallback chain** — when the primary backend is out of attempts,
    the next backend gets the model (default:
    :class:`~repro.milp.highs.HighsSolver` →
    :class:`~repro.milp.branch_and_bound.BranchAndBoundSolver`);
 4. **Graceful degradation** — a ``FEASIBLE`` incumbent at the deadline
    is accepted (and flagged ``degraded``) instead of failing the run.
+
+:func:`under_watchdog` is the one rule by which ``explore``,
+``kstar_search`` and ``explore_pareto`` put a solver under the watchdog
+for one call.
 
 Every attempt is recorded as a :class:`SolveAttempt`; the log rides on
 ``Solution.extra["solve_attempts"]`` and surfaces as
@@ -27,7 +32,6 @@ instantly and deterministically.
 from __future__ import annotations
 
 import copy
-import threading
 import time
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -36,12 +40,7 @@ from typing import Any
 from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.validate import warm_start_incumbent
-from repro.resilience.policy import (
-    Clock,
-    DeadlineBudget,
-    RetryPolicy,
-    Sleep,
-)
+from repro.resilience.policy import Clock, DeadlineBudget, Sleep
 from repro.telemetry.trace import span
 
 #: Statuses that end the solve immediately (a definitive answer or a
@@ -52,6 +51,14 @@ _DEFINITIVE = (
     SolveStatus.INFEASIBLE,
     SolveStatus.UNBOUNDED,
 )
+
+#: Retries per backend when the caller sets no cap.
+MAX_RETRIES = 2
+#: The backoff before the first retry; each later one doubles it, up to
+#: :data:`BACKOFF_CAP_S`.  No jitter, so fault-injection runs replay
+#: exactly.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
 
 
 @dataclass
@@ -93,21 +100,6 @@ def attempt_counters(attempts: Sequence[SolveAttempt]) -> dict:
     }
 
 
-class SolveFailure(RuntimeError):
-    """Every backend of a :class:`ResilientSolver` chain failed.
-
-    Carries the full attempt log for post-mortems.
-    """
-
-    def __init__(self, message: str, attempts: list[SolveAttempt]) -> None:
-        super().__init__(message)
-        self.attempts = attempts
-
-
-class SolverHang(TimeoutError):
-    """A backend exceeded the watchdog's hang guard and was abandoned."""
-
-
 def default_fallbacks() -> tuple[Any, ...]:
     """The standard fallback chain behind the primary backend.
 
@@ -135,22 +127,13 @@ class ResilientSolver:
         Backends tried in order once the primary is out of attempts.
         ``None`` selects :func:`default_fallbacks`; pass ``()`` for no
         fallback.
-    retry:
-        Backoff schedule per backend (default: two retries).
+    max_retries:
+        Retries per backend after its first attempt (so ``2`` allows
+        three attempts on each backend).
     budget:
         A shared :class:`DeadlineBudget` spanning *every* solve routed
-        through this instance (a ladder- or facade-level deadline).
-    deadline_s:
-        Convenience alternative to ``budget``: each ``solve()`` call
-        gets its own fresh deadline of this many seconds.
-    hang_timeout_s:
-        When set, each attempt runs on a guard thread and is abandoned
-        (status ``"hang"``) once it exceeds its time limit by this grace
-        period — protection against a backend that ignores its
-        ``time_limit``.  ``None`` (default) calls the backend inline.
-    raise_on_failure:
-        Raise :class:`SolveFailure` instead of returning a status-only
-        ``ERROR``/``TIMEOUT`` solution when the whole chain fails.
+        through this instance (a call's deadline); ``None`` never
+        expires.
     clock / sleep:
         Injectable time sources (tests pass fakes; production uses
         ``time.monotonic`` / ``time.sleep``).
@@ -163,14 +146,13 @@ class ResilientSolver:
         solver: Any = None,
         *,
         fallbacks: Sequence[Any] | None = None,
-        retry: RetryPolicy | None = None,
+        max_retries: int = MAX_RETRIES,
         budget: DeadlineBudget | None = None,
-        deadline_s: float | None = None,
-        hang_timeout_s: float | None = None,
-        raise_on_failure: bool = False,
         clock: Clock = time.monotonic,
         sleep: Sleep = time.sleep,
     ) -> None:
+        if max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
         if solver is None:
             # Deferred import (see default_fallbacks for the cycle note).
             from repro.milp.highs import HighsSolver
@@ -180,11 +162,8 @@ class ResilientSolver:
         self.fallbacks = (
             default_fallbacks() if fallbacks is None else tuple(fallbacks)
         )
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.max_retries = max_retries
         self.budget = budget
-        self.deadline_s = deadline_s
-        self.hang_timeout_s = hang_timeout_s
-        self.raise_on_failure = raise_on_failure
         self._clock = clock
         self._sleep = sleep
 
@@ -192,12 +171,15 @@ class ResilientSolver:
 
     def solve(self, model: Model) -> Solution:
         """Run the chain on ``model``; always returns a :class:`Solution`
-        carrying the attempt log (unless ``raise_on_failure``)."""
-        budget = self._solve_budget()
+        carrying the attempt log."""
+        budget = (
+            self.budget if self.budget is not None
+            else DeadlineBudget(clock=self._clock)
+        )
         attempts: list[SolveAttempt] = []
         for index, backend in enumerate((self.solver, *self.fallbacks)):
             is_fallback = index > 0
-            for attempt in range(1, self.retry.attempts + 1):
+            for attempt in range(1, self.max_retries + 2):
                 if budget.expired:
                     return self._give_up(model, attempts, budget)
                 solution, record = self._attempt(
@@ -214,27 +196,21 @@ class ResilientSolver:
                     # the same backend with the same limit is futile —
                     # move down the chain (or give up at the deadline).
                     break
-                if attempt < self.retry.attempts and not budget.expired:
-                    self.retry.backoff(
-                        attempt, sleep=self._sleep, budget=budget
-                    )
+                if attempt <= self.max_retries and not budget.expired:
+                    self._backoff(attempt, budget)
         return self._give_up(model, attempts, budget)
-
-    def with_time_limit(self, seconds: float | None) -> ResilientSolver:
-        """A copy whose every solve is additionally bounded by
-        ``seconds`` (keeps the watchdog nestable where a plain solver is
-        expected)."""
-        clone = copy.copy(self)
-        clone.deadline_s = seconds
-        clone.budget = None
-        return clone
 
     # -- internals ----------------------------------------------------------
 
-    def _solve_budget(self) -> DeadlineBudget:
-        if self.budget is not None:
-            return self.budget
-        return DeadlineBudget(self.deadline_s, clock=self._clock)
+    def _backoff(self, attempt: int, budget: DeadlineBudget) -> None:
+        """Sleep before retrying after failed attempt ``attempt``
+        (1-based), clipped to the budget's remaining time."""
+        pause = min(
+            BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_CAP_S,
+            budget.remaining(),
+        )
+        if pause > 0:
+            self._sleep(pause)
 
     def _attempt(
         self,
@@ -265,8 +241,8 @@ class ResilientSolver:
             record.span_id = attempt_span.span_id
             start = self._clock()
             try:
-                solution = self._call(configured, model, limit)
-            except TimeoutError as exc:  # includes InjectedHang / SolverHang
+                solution = configured.solve(model)
+            except TimeoutError as exc:  # includes InjectedHang
                 record.status = "hang"
                 record.message = str(exc)
                 record.seconds = self._clock() - start
@@ -287,32 +263,6 @@ class ResilientSolver:
             attempt_span.set_attribute("outcome", record.status)
             return solution, record
 
-    def _call(self, backend: Any, model: Model, limit: float | None) -> Solution:
-        if self.hang_timeout_s is None:
-            return backend.solve(model)
-        box: dict[str, Any] = {}
-
-        def run() -> None:
-            try:
-                box["solution"] = backend.solve(model)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                box["error"] = exc
-
-        thread = threading.Thread(
-            target=run, name="repro-solve-guard", daemon=True
-        )
-        thread.start()
-        grace = self.hang_timeout_s + (limit or 0.0)
-        thread.join(grace)
-        if thread.is_alive():
-            raise SolverHang(
-                f"{getattr(backend, 'name', backend)} still running after "
-                f"{grace:.1f}s; abandoning the attempt"
-            )
-        if "error" in box:
-            raise box["error"]
-        return box["solution"]
-
     def _finish(
         self, solution: Solution, attempts: list[SolveAttempt]
     ) -> Solution:
@@ -331,8 +281,6 @@ class ResilientSolver:
             if deadline
             else f"every backend failed after {len(attempts)} attempt(s)"
         )
-        if self.raise_on_failure:
-            raise SolveFailure(f"{model.name}: {message}", attempts)
         # Last rung of the degradation ladder: a validated warm-start
         # incumbent (Model.hints["warm_start"]) is a usable design, so a
         # chain that found nothing better returns it FEASIBLE/degraded
@@ -353,7 +301,7 @@ def _with_time_limit(backend: Any, limit: float | None) -> Any:
 
     Prefers the backend's own ``with_time_limit`` hook; falls back to a
     shallow copy with ``time_limit`` set, and leaves opaque backends
-    untouched (the hang guard is then the only protection).
+    untouched.
     """
     if limit is None or getattr(backend, "time_limit", None) == limit:
         return backend
@@ -365,3 +313,30 @@ def _with_time_limit(backend: Any, limit: float | None) -> Any:
         clone.time_limit = limit
         return clone
     return backend
+
+
+def under_watchdog(
+    solver: Any, budget: DeadlineBudget | None, max_retries: int | None
+) -> Any:
+    """``solver`` put under the watchdog for one call.
+
+    With neither ``budget`` nor ``max_retries`` set, ``solver`` comes
+    back unchanged.  A :class:`ResilientSolver` keeps its own settings
+    and is never mutated: a copy takes ``budget`` when it carries none
+    of its own, so the call's deadline never outlives the call on the
+    caller's object.  Any other backend (``None`` for the default) is
+    wrapped with ``max_retries`` retries, :data:`MAX_RETRIES` when
+    unset.
+    """
+    if budget is None and max_retries is None:
+        return solver
+    if isinstance(solver, ResilientSolver):
+        if budget is None or solver.budget is not None:
+            return solver
+        watched = copy.copy(solver)
+        watched.budget = budget
+        return watched
+    return ResilientSolver(
+        solver, budget=budget,
+        max_retries=MAX_RETRIES if max_retries is None else max_retries,
+    )

@@ -12,8 +12,8 @@ context, taken on the caller's thread when the task is submitted, so
 spans opened by a trial (:mod:`repro.telemetry.trace`) parent under the
 span that was open around :meth:`BatchRunner.run`.
 
-A trial that raises is run again, up to ``retries`` times; on the pool
-it is resubmitted, queueing behind the trials already waiting.  The
+A trial that raises is run again, up to :data:`RETRIES` times; on the
+pool it is resubmitted, queueing behind the trials already waiting.  The
 ``worker.crash`` fault site (see :mod:`repro.resilience.faults`) fires
 in the thread wrapper, so injected crashes take the same retry path as
 real ones.  With a :class:`~repro.resilience.policy.DeadlineBudget`, a
@@ -37,6 +37,9 @@ from typing import Any
 
 from repro.resilience.faults import maybe_fire
 from repro.resilience.policy import DeadlineBudget
+
+#: How many times a trial that raised is run again.
+RETRIES = 1
 
 
 @dataclass
@@ -91,9 +94,6 @@ class BatchRunner:
     workers:
         Thread count; defaults to ``os.cpu_count()`` capped at 8.  One
         worker (or one trial) runs inline on the caller's thread.
-    retries:
-        How many times a trial that raised is run again.  The default
-        retries once.
     budget:
         Optional :class:`DeadlineBudget`; a trial that would start after
         it expired fails fast with a :class:`TimeoutError`.
@@ -103,15 +103,11 @@ class BatchRunner:
         self,
         *,
         workers: int | None = None,
-        retries: int = 1,
         budget: DeadlineBudget | None = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be positive")
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
         self.workers = workers or min(os.cpu_count() or 2, 8)
-        self.retries = retries
         self.budget = budget
 
     def run(
@@ -168,7 +164,7 @@ class BatchRunner:
         """Whether ``outcome`` raised and has attempts left."""
         return (
             outcome.error is not None and not outcome.timed_out
-            and outcome.attempts <= self.retries
+            and outcome.attempts <= RETRIES
         )
 
     def _attempt(

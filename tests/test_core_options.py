@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.core.options import DEFAULT_OPTIONS, SolveOptions
-from repro.resilience.policy import DeadlineBudget, RetryPolicy
+from repro.resilience.policy import DeadlineBudget
 
 
 class TestSolveOptions:
@@ -87,13 +87,8 @@ class TestSolveOptions:
     def test_derived_runtime_objects(self):
         opts = SolveOptions(deadline_s=5.0, max_retries=3)
         assert isinstance(opts.budget(), DeadlineBudget)
-        policy = opts.retry_policy()
-        assert isinstance(policy, RetryPolicy)
-        assert policy.max_retries == 3
-        assert opts.resilient
+        assert opts.budget().remaining() == pytest.approx(5.0, abs=1.0)
         assert SolveOptions().budget() is None
-        assert SolveOptions().retry_policy() is None
-        assert not SolveOptions().resilient
 
     def test_replace(self):
         opts = SolveOptions(parallel=2)

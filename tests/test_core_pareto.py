@@ -202,6 +202,12 @@ class TestCheckpointStreaming:
         import repro.core.pareto as pareto_mod
         from repro.runtime import BatchRunner
 
+        # One inline worker solves the points in order, without retry.
+        monkeypatch.setattr(
+            pareto_mod, "BatchRunner",
+            lambda workers, budget: BatchRunner(workers=1, budget=budget),
+        )
+        monkeypatch.setattr("repro.runtime.batch.RETRIES", 0)
         path = tmp_path / "front.jsonl"
         calls = []
 
@@ -215,8 +221,7 @@ class TestCheckpointStreaming:
         with pytest.raises(RuntimeError):
             explore_pareto(
                 ScriptedExplorer(), "cost", "energy", points=4,
-                options=SolveOptions(checkpoint=path),
-                runner=BatchRunner(workers=1, retries=0),
+                options=SolveOptions(checkpoint=path, parallel=2),
             )
         points = [
             json.loads(l) for l in path.read_text().splitlines()[1:]
@@ -310,7 +315,6 @@ class TestDeadlineGraceful:
         empty front, not raise TimeoutError through unwrap()."""
         import repro.core.pareto as pareto_mod
         from repro.resilience import DeadlineBudget
-        from repro.runtime import BatchRunner
 
         clock = [0.0]
         budget = DeadlineBudget(1.0, clock=lambda: clock[0])
@@ -322,7 +326,7 @@ class TestDeadlineGraceful:
         )
         front = explore_pareto(
             ScriptedExplorer(), "cost", "energy", points=4,
-            budget=budget, runner=BatchRunner(workers=1, budget=budget),
+            budget=budget, options=SolveOptions(parallel=2),
         )
         assert front.points == []
 
@@ -422,3 +426,40 @@ class TestPointPipeline:
             assert "test.slow-analysis" in {
                 d.rule_id for d in point.result.diagnostics
             }
+
+
+class TestCallersWatchdog:
+    def test_sweep_deadline_does_not_outlive_the_sweep(self, library):
+        """A caller's ResilientSolver comes back from a sweep without the
+        sweep's budget, so a later solve is not cut off by it."""
+        from repro.core.facade import build_explorer
+        from repro.milp.highs import HighsSolver
+        from repro.milp.solution import SolveStatus
+        from repro.network import (
+            LifetimeRequirement,
+            LinkQualityRequirement,
+            RequirementSet,
+            data_collection_template,
+        )
+        from repro.resilience import DeadlineBudget, ResilientSolver
+
+        inst = data_collection_template(n_sensors=4, n_relay_candidates=10)
+        reqs = RequirementSet()
+        for s in inst.sensor_ids:
+            reqs.require_route(s, inst.sink_id)
+        reqs.link_quality = LinkQualityRequirement(min_snr_db=20.0)
+        reqs.lifetime = LifetimeRequirement(years=5.0)
+        solver = ResilientSolver(HighsSolver())
+        explorer = build_explorer(
+            inst.template, library, reqs, solver=solver, k_star=3
+        )
+        clock = [0.0]
+        front = explore_pareto(
+            explorer, points=3,
+            budget=DeadlineBudget(60.0, clock=lambda: clock[0]),
+        )
+        assert front.points
+        clock[0] = 120.0  # the sweep's deadline has passed
+        assert explorer.solver is solver
+        assert solver.budget is None
+        assert explorer.solve("cost").status is SolveStatus.OPTIMAL

@@ -49,6 +49,21 @@ def make_factory(log):
     return lambda k: FakeExplorer(k, log)
 
 
+def one_worker(monkeypatch):
+    """Run the parallel ladder's batch on one inline worker, so its
+    trials run in ladder order."""
+    import importlib
+
+    from repro.runtime import BatchRunner
+
+    # ``repro.core.kstar_search`` names the function; patch the module.
+    module = importlib.import_module("repro.core.kstar_search")
+    monkeypatch.setattr(
+        module, "BatchRunner",
+        lambda workers, budget: BatchRunner(workers=1, budget=budget),
+    )
+
+
 class TestCheckpointResume:
     def test_uninterrupted_run_with_checkpoint(self, tmp_path):
         path = tmp_path / "ladder.jsonl"
@@ -211,7 +226,7 @@ class TestDeadline:
 
 class TestResilientWiring:
     def test_retry_wraps_rung_solver(self):
-        from repro.resilience import ResilientSolver, RetryPolicy
+        from repro.resilience import ResilientSolver
 
         seen = []
 
@@ -227,12 +242,49 @@ class TestResilientWiring:
             explorer.solve = check_solve
             return explorer
 
-        kstar_search(factory, ladder=(1, 3), retry=RetryPolicy(max_retries=1))
+        kstar_search(
+            factory, ladder=(1, 3), options=SolveOptions(max_retries=1)
+        )
         assert all(cls is ResilientSolver for cls in seen)
+
+    def test_shared_watchdog_keeps_no_ladder_deadline(self, library):
+        """A ResilientSolver that the factory shares across rungs comes
+        back from the ladder without its budget, so a later solve is
+        not cut off by it."""
+        from repro.core.facade import build_explorer
+        from repro.milp.highs import HighsSolver
+        from repro.network import (
+            LinkQualityRequirement,
+            RequirementSet,
+            synthetic_template,
+        )
+        from repro.resilience import ResilientSolver
+
+        inst = synthetic_template(12, 6, seed=11)
+        reqs = RequirementSet()
+        for s in inst.sensor_ids:
+            reqs.require_route(s, inst.sink_id)
+        reqs.link_quality = LinkQualityRequirement(min_snr_db=20.0)
+        shared = ResilientSolver(HighsSolver())
+
+        def factory(k):
+            return build_explorer(
+                inst.template, library, reqs, solver=shared, k_star=k
+            )
+
+        clock = [0.0]
+        search = kstar_search(
+            factory, ladder=(1, 2, 3),
+            budget=DeadlineBudget(60.0, clock=lambda: clock[0]),
+        )
+        assert search.best is not None
+        clock[0] = 120.0  # the ladder's deadline has passed
+        assert shared.budget is None
+        assert factory(3).solve("cost").status is SolveStatus.OPTIMAL
 
 
 class TestParallelDeadline:
-    def test_parallel_deadline_degrades_gracefully(self):
+    def test_parallel_deadline_degrades_gracefully(self, monkeypatch):
         """A budget spent mid-ladder must yield 'deadline exhausted', not
         an uncaught TimeoutError from outcome.unwrap()."""
         clock_now = [0.0]
@@ -250,31 +302,27 @@ class TestParallelDeadline:
             explorer.solve = timed_solve
             return explorer
 
-        from repro.runtime import BatchRunner
-
-        # Two sequential inline workers would be nondeterministic under a
-        # real pool; a workers=1 runner drives the *parallel* code path
-        # deterministically (runner is not None => parallel branch).
-        runner = BatchRunner(workers=1, budget=budget)
+        # Two workers would race on the fake clock; one inline worker
+        # drives the *parallel* code path deterministically.
+        one_worker(monkeypatch)
         search = kstar_search(
-            factory, ladder=(1, 3, 5, 10), budget=budget, runner=runner
+            factory, ladder=(1, 3, 5, 10), budget=budget,
+            options=SolveOptions(parallel=2),
         )
         assert solved == [1, 3]  # rung 5 started after expiry
         assert search.stop_reason == "deadline exhausted"
         assert search.best.k_star == 3
 
-    def test_parallel_checkpoint_streams_per_rung(self, tmp_path):
+    def test_parallel_checkpoint_streams_per_rung(self, tmp_path, monkeypatch):
         """Each rung's record lands on disk as its solve completes, so a
         kill mid-batch keeps the finished rungs (not just the extremes)."""
         import json
 
-        from repro.runtime import BatchRunner
-
+        one_worker(monkeypatch)
         path = tmp_path / "ladder.jsonl"
         kstar_search(
             make_factory([]), ladder=(1, 3, 5, 10),
-            options=SolveOptions(checkpoint=path),
-            runner=BatchRunner(workers=1),
+            options=SolveOptions(checkpoint=path, parallel=2),
         )
         # All consumed rungs are recorded...
         lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -292,11 +340,11 @@ class TestParallelDeadline:
                 explorer.solve = boom
             return explorer
 
+        monkeypatch.setattr("repro.runtime.batch.RETRIES", 0)
         with pytest.raises(RuntimeError):
             kstar_search(
                 crashing_factory, ladder=(1, 3, 5, 10),
-                options=SolveOptions(checkpoint=path2),
-                runner=BatchRunner(workers=1, retries=0),
+                options=SolveOptions(checkpoint=path2, parallel=2),
             )
         recorded = [
             json.loads(l)["k_star"]

@@ -129,14 +129,13 @@ class TestSitesEndToEnd:
         """An ERROR then a hang, and the chain still lands OPTIMAL."""
         from repro.milp.highs import HighsSolver
         from repro.milp.model import Model
-        from repro.resilience import ResilientSolver, RetryPolicy
+        from repro.resilience import ResilientSolver
 
         m = Model()
         x = m.binary("x")
         m.minimize(x)
         solver = ResilientSolver(
-            HighsSolver(), fallbacks=(),
-            retry=RetryPolicy(max_retries=2, base_delay_s=0.0),
+            HighsSolver(), fallbacks=(), max_retries=2, sleep=lambda s: None,
         )
         with injected_faults({"solver.error": 1, "solver.hang": [1]}):
             solution = solver.solve(m)
@@ -150,7 +149,7 @@ class TestSitesEndToEnd:
         with injected_faults({"worker.crash": 1}) as plan:
             # Inline runs call fn directly (no thread wrapper), so route
             # through the pool with two trials.
-            runner = BatchRunner(workers=2, retries=1)
+            runner = BatchRunner(workers=2)
             outcomes = runner.run([
                 Trial(lambda: "a"), Trial(lambda: "b"),
             ])

@@ -1,11 +1,12 @@
-"""Tests for deadline budgets and retry policies (fake clock, no sleeps)."""
+"""Tests for the deadline budget and the watchdog's retry schedule (fake
+clock, no sleeps)."""
 
 import math
 
 import pytest
 
-from repro.resilience import DeadlineBudget, RetryPolicy
-from repro.resilience.policy import NO_RETRY
+from repro.milp.model import Model
+from repro.resilience import DeadlineBudget, ResilientSolver
 
 
 class FakeClock:
@@ -24,7 +25,7 @@ class FakeClock:
 class TestDeadlineBudget:
     def test_unlimited_never_expires(self):
         clock = FakeClock()
-        budget = DeadlineBudget.unlimited(clock=clock)
+        budget = DeadlineBudget(None, clock=clock)
         clock.advance(1e9)
         assert not budget.limited
         assert not budget.expired
@@ -46,25 +47,6 @@ class TestDeadlineBudget:
         with pytest.raises(ValueError):
             DeadlineBudget(-1.0)
 
-    def test_sub_budget_is_min_of_chain(self):
-        clock = FakeClock()
-        run = DeadlineBudget(100.0, clock=clock)
-        rung = run.sub(10.0)
-        assert rung.remaining() == pytest.approx(10.0)
-        # The child cannot outlive the parent.
-        clock.advance(95.0)
-        late = run.sub(10.0)
-        assert late.remaining() == pytest.approx(5.0)
-
-    def test_unlimited_child_of_limited_parent(self):
-        clock = FakeClock()
-        run = DeadlineBudget(8.0, clock=clock)
-        child = run.sub()  # no own deadline
-        assert child.limited
-        assert child.remaining() == pytest.approx(8.0)
-        clock.advance(9.0)
-        assert child.expired
-
     def test_solver_time_limit_caps_and_floors(self):
         clock = FakeClock()
         budget = DeadlineBudget(30.0, clock=clock)
@@ -77,53 +59,75 @@ class TestDeadlineBudget:
         assert budget.solver_time_limit(cap=300.0) == pytest.approx(1e-3)
 
     def test_solver_time_limit_unlimited_with_cap(self):
-        budget = DeadlineBudget.unlimited(clock=FakeClock())
+        budget = DeadlineBudget(None, clock=FakeClock())
         assert budget.solver_time_limit(cap=12.0) == pytest.approx(12.0)
 
 
+class Crashing:
+    """A backend whose every solve raises, advancing the fake clock by
+    ``burn`` seconds first."""
+
+    name = "crashing"
+
+    def __init__(self, clock, burn=0.0):
+        self.clock = clock
+        self.burn = burn
+        self.calls = 0
+
+    def solve(self, model):
+        self.calls += 1
+        self.clock.advance(self.burn)
+        raise RuntimeError("crash")
+
+
+def run_retries(max_retries, *, budget_s=None, burn=0.0):
+    """Run a retry schedule against an always-crashing backend; return
+    the backend's call count and the pauses slept."""
+    clock = FakeClock()
+    slept = []
+    backend = Crashing(clock, burn)
+    solver = ResilientSolver(
+        backend, fallbacks=(), max_retries=max_retries,
+        budget=(
+            None if budget_s is None else DeadlineBudget(budget_s, clock=clock)
+        ),
+        clock=clock, sleep=lambda s: (slept.append(s), clock.advance(s)),
+    )
+    solver.solve(Model(name="retry-schedule"))
+    return backend.calls, slept
+
+
 class TestRetryPolicy:
+    """The watchdog's fixed backoff: 0.05 s, doubling, capped at 2 s,
+    clipped to the budget, no sleep at zero."""
+
     def test_attempts_counts_first_try(self):
-        assert RetryPolicy(max_retries=2).attempts == 3
-        assert NO_RETRY.attempts == 1
+        assert run_retries(2)[0] == 3
+        assert run_retries(0)[0] == 1
 
     def test_exponential_delays_capped(self):
-        policy = RetryPolicy(
-            max_retries=5, base_delay_s=0.1, multiplier=2.0, max_delay_s=0.35
-        )
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.35)  # capped
-        assert policy.delay(4) == pytest.approx(0.35)
-
-    def test_delay_is_one_based(self):
-        with pytest.raises(ValueError):
-            RetryPolicy().delay(0)
+        _, slept = run_retries(8)
+        assert slept == [
+            pytest.approx(d)
+            for d in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0)
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_s=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
+            ResilientSolver(Crashing(FakeClock()), max_retries=-1)
 
     def test_backoff_uses_injected_sleep(self):
-        slept = []
-        policy = RetryPolicy(base_delay_s=0.5, multiplier=2.0)
-        pause = policy.backoff(2, sleep=slept.append)
-        assert pause == pytest.approx(1.0)
-        assert slept == [pytest.approx(1.0)]
+        _, slept = run_retries(2)
+        assert slept == [pytest.approx(0.05), pytest.approx(0.1)]
 
     def test_backoff_clipped_to_budget(self):
-        clock = FakeClock()
-        budget = DeadlineBudget(0.3, clock=clock)
-        slept = []
-        policy = RetryPolicy(base_delay_s=1.0)
-        pause = policy.backoff(1, sleep=slept.append, budget=budget)
-        assert pause == pytest.approx(0.3)
-        assert slept == [pytest.approx(0.3)]
+        # The first attempt burns 0.1 of a 0.12 s budget: the 0.05 s
+        # pause is clipped to the 0.02 s left, and the budget is then
+        # spent, so no second attempt starts.
+        calls, slept = run_retries(2, budget_s=0.12, burn=0.1)
+        assert slept == [pytest.approx(0.02)]
+        assert calls == 1
 
     def test_zero_delay_skips_sleep(self):
-        slept = []
-        NO_RETRY.backoff(1, sleep=slept.append)
+        _, slept = run_retries(0)
         assert slept == []

@@ -1,20 +1,11 @@
 """Tests for the resilient solver watchdog (scripted backends, no sleeps)."""
 
-import threading
-
 import pytest
 
 from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStatus
-from repro.resilience import (
-    DeadlineBudget,
-    ResilientSolver,
-    RetryPolicy,
-    SolveAttempt,
-    SolveFailure,
-)
-from repro.resilience.policy import NO_RETRY
-from repro.resilience.watchdog import attempt_counters
+from repro.resilience import DeadlineBudget, ResilientSolver, SolveAttempt
+from repro.resilience.watchdog import attempt_counters, under_watchdog
 
 
 class FakeClock:
@@ -76,7 +67,7 @@ def model():
 
 def make_solver(script, clock, **kwargs):
     kwargs.setdefault("fallbacks", ())
-    kwargs.setdefault("retry", RetryPolicy(max_retries=2, base_delay_s=0.01))
+    kwargs.setdefault("max_retries", 2)
     backend = ScriptedSolver(script, clock)
     solver = ResilientSolver(
         backend, clock=clock, sleep=lambda s: clock.advance(s), **kwargs
@@ -119,8 +110,7 @@ class TestRetryAndFallback:
         backup = ScriptedSolver([0.2], clock)
         backup.name = "backup"
         solver = ResilientSolver(
-            primary, fallbacks=(backup,),
-            retry=RetryPolicy(max_retries=1, base_delay_s=0.01),
+            primary, fallbacks=(backup,), max_retries=1,
             clock=clock, sleep=lambda s: clock.advance(s),
         )
         solution = solver.solve(model())
@@ -157,7 +147,7 @@ class TestRetryAndFallback:
         primary = ScriptedSolver([Solution(status=SolveStatus.TIMEOUT)], clock)
         backup = ScriptedSolver([0.2], clock)
         solver = ResilientSolver(
-            primary, fallbacks=(backup,), retry=RetryPolicy(max_retries=2),
+            primary, fallbacks=(backup,), max_retries=2,
             clock=clock, sleep=lambda s: clock.advance(s),
         )
         solution = solver.solve(model())
@@ -172,20 +162,11 @@ class TestFailureAndDeadline:
         clock = FakeClock()
         solver, _ = make_solver(
             [RuntimeError("1"), RuntimeError("2"), RuntimeError("3")], clock,
-            retry=RetryPolicy(max_retries=2, base_delay_s=0.01),
+            max_retries=2,
         )
         solution = solver.solve(model())
         assert solution.status is SolveStatus.ERROR
         assert len(solution.extra["solve_attempts"]) == 3
-
-    def test_raise_on_failure(self):
-        clock = FakeClock()
-        solver, _ = make_solver(
-            [RuntimeError("x")], clock, retry=NO_RETRY, raise_on_failure=True
-        )
-        with pytest.raises(SolveFailure) as excinfo:
-            solver.solve(model())
-        assert len(excinfo.value.attempts) == 1
 
     def test_deadline_expiry_returns_timeout(self):
         clock = FakeClock()
@@ -207,72 +188,23 @@ class TestFailureAndDeadline:
         slept = []
         backend = ScriptedSolver([RuntimeError("x"), 0.1], clock)
         solver = ResilientSolver(
-            backend, fallbacks=(), budget=budget,
-            retry=RetryPolicy(max_retries=1, base_delay_s=0.25),
+            backend, fallbacks=(), budget=budget, max_retries=1,
             clock=clock, sleep=lambda s: (slept.append(s), clock.advance(s)),
         )
         solution = solver.solve(model())
         assert solution.status is SolveStatus.OPTIMAL
-        assert slept == [pytest.approx(0.25)]
+        assert slept == [pytest.approx(0.05)]
 
     def test_per_attempt_limit_clipped_to_budget(self):
         clock = FakeClock()
         budget = DeadlineBudget(5.0, clock=clock)
         backend = ScriptedSolver([0.1], clock, time_limit=300.0)
         solver = ResilientSolver(
-            backend, fallbacks=(), budget=budget, retry=NO_RETRY,
+            backend, fallbacks=(), budget=budget, max_retries=0,
             clock=clock, sleep=lambda s: clock.advance(s),
         )
         solver.solve(model())
         assert backend.seen_limits == [pytest.approx(5.0)]
-
-    def test_deadline_s_builds_fresh_budget_per_solve(self):
-        clock = FakeClock()
-        backend = ScriptedSolver([0.1, 0.1], clock, time_limit=None)
-        solver = ResilientSolver(
-            backend, fallbacks=(), deadline_s=4.0, retry=NO_RETRY,
-            clock=clock, sleep=lambda s: clock.advance(s),
-        )
-        solver.solve(model())
-        clock.advance(100.0)  # a stale shared budget would be expired now
-        solution = solver.solve(model())
-        assert solution.status is SolveStatus.OPTIMAL
-        assert backend.seen_limits == [pytest.approx(4.0)] * 2
-
-    def test_with_time_limit_copy(self):
-        solver = ResilientSolver(ScriptedSolver([]), fallbacks=())
-        clone = solver.with_time_limit(7.0)
-        assert clone is not solver
-        assert clone.deadline_s == 7.0
-        assert solver.deadline_s is None
-
-
-class TestHangGuard:
-    def test_hung_backend_abandoned(self):
-        release = threading.Event()
-
-        class Hanger:
-            name = "hanger"
-
-            def solve(self, m):
-                release.wait(5.0)
-                return Solution(status=SolveStatus.OPTIMAL)
-
-        quick = ScriptedSolver([Solution(status=SolveStatus.OPTIMAL,
-                                         objective=2.0)])
-        solver = ResilientSolver(
-            Hanger(), fallbacks=(quick,), retry=NO_RETRY,
-            hang_timeout_s=0.05,
-        )
-        try:
-            solution = solver.solve(model())
-        finally:
-            release.set()
-        assert solution.status is SolveStatus.OPTIMAL
-        log = solution.extra["solve_attempts"]
-        assert log[0].status == "hang"
-        assert log[0].solver == "hanger"
-        assert log[1].solver == "scripted"
 
 
 class TestIntegration:
@@ -294,6 +226,68 @@ class TestIntegration:
         assert payload["attempt_log"][0]["solver"] == "highs"
 
 
+    def test_callers_watchdog_takes_the_call_deadline(
+        self, grid_instance, library, grid_requirements
+    ):
+        """A ResilientSolver passed to explore() runs under the call's
+        deadline: its backend is handed a time limit within it."""
+        import repro
+        from repro.milp.highs import HighsSolver
+
+        class Recording:
+            name = "recording"
+            time_limit = None
+
+            def __init__(self):
+                self.seen = []
+
+            def solve(self, m):
+                self.seen.append(self.time_limit)
+                return HighsSolver(time_limit=self.time_limit).solve(m)
+
+        backend = Recording()
+        result = repro.explore(
+            grid_instance.template, library, grid_requirements,
+            solver=ResilientSolver(backend, fallbacks=()),
+            options=repro.SolveOptions(deadline_s=60.0),
+        )
+        assert result.feasible
+        assert backend.seen
+        assert all(
+            limit is not None and limit <= 60.0 for limit in backend.seen
+        )
+
+
+class TestUnderWatchdog:
+    def test_no_deadline_no_cap_returns_the_solver(self):
+        backend = ScriptedSolver([])
+        assert under_watchdog(backend, None, None) is backend
+        watched = ResilientSolver(backend)
+        assert under_watchdog(watched, None, None) is watched
+
+    def test_plain_backend_is_wrapped(self):
+        backend = ScriptedSolver([])
+        budget = DeadlineBudget(5.0)
+        watched = under_watchdog(backend, budget, None)
+        assert isinstance(watched, ResilientSolver)
+        assert watched.solver is backend
+        assert watched.budget is budget
+        assert watched.max_retries == 2
+        assert under_watchdog(backend, None, 0).max_retries == 0
+
+    def test_callers_watchdog_keeps_its_settings_and_is_not_mutated(self):
+        backend = ScriptedSolver([])
+        own = ResilientSolver(backend, fallbacks=(), max_retries=5)
+        budget = DeadlineBudget(5.0)
+        watched = under_watchdog(own, budget, 1)
+        assert watched is not own
+        assert watched.budget is budget and own.budget is None
+        assert watched.max_retries == 5 and watched.fallbacks == ()
+        assert watched.solver is backend
+        # A watchdog with a budget of its own is used as it is.
+        assert under_watchdog(watched, DeadlineBudget(1.0), 1) is watched
+
+
 class TestWarmStartDegradation:
     def _hinted_model(self):
         m = Model(name="degrade-test")
@@ -308,7 +302,7 @@ class TestWarmStartDegradation:
     def test_exhausted_chain_degrades_to_the_warm_start(self):
         clock = FakeClock()
         solver, _ = make_solver(
-            [RuntimeError("1")], clock, retry=NO_RETRY,
+            [RuntimeError("1")], clock, max_retries=0,
         )
         solution = solver.solve(self._hinted_model())
         assert solution.status is SolveStatus.FEASIBLE
@@ -320,7 +314,7 @@ class TestWarmStartDegradation:
     def test_stale_hint_never_degrades_to_a_wrong_answer(self):
         clock = FakeClock()
         solver, _ = make_solver(
-            [RuntimeError("1")], clock, retry=NO_RETRY,
+            [RuntimeError("1")], clock, max_retries=0,
         )
         m = self._hinted_model()
         m.hints["warm_start"]["x"] = [0.0]  # violates the pinned row
@@ -330,7 +324,7 @@ class TestWarmStartDegradation:
     def test_no_hint_keeps_the_statusonly_failure(self):
         clock = FakeClock()
         solver, _ = make_solver(
-            [RuntimeError("1")], clock, retry=NO_RETRY,
+            [RuntimeError("1")], clock, max_retries=0,
         )
         solution = solver.solve(model())
         assert solution.status is SolveStatus.ERROR

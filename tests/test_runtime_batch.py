@@ -31,11 +31,9 @@ def always_fails():
 
 
 class TestModes:
-    def test_invalid_workers_and_retries(self):
+    def test_invalid_workers(self):
         with pytest.raises(ValueError):
             BatchRunner(workers=0)
-        with pytest.raises(ValueError):
-            BatchRunner(retries=-1)
 
     def test_one_worker_is_sequential(self):
         """One worker runs every trial inline, on the caller's thread."""
@@ -76,7 +74,7 @@ class TestExecution:
 class TestFailureHandling:
     def test_crash_retried_once(self, tmp_path):
         sentinel = tmp_path / "crashed"
-        runner = BatchRunner(workers=2, retries=1)
+        runner = BatchRunner(workers=2)
         outcome, _ = runner.run(
             [Trial(fail_until_sentinel, (sentinel,)), Trial(square, (2,))]
         )
@@ -86,12 +84,12 @@ class TestFailureHandling:
 
     def test_crash_retried_once_sequential(self, tmp_path):
         sentinel = tmp_path / "crashed"
-        runner = BatchRunner(workers=1, retries=1)
+        runner = BatchRunner(workers=1)
         (outcome,) = runner.run([Trial(fail_until_sentinel, (sentinel,))])
         assert outcome.ok and outcome.attempts == 2
 
     def test_permanent_failure_reported_not_raised(self):
-        runner = BatchRunner(workers=2, retries=1)
+        runner = BatchRunner(workers=2)
         good, bad = runner.run([Trial(square, (6,)), Trial(always_fails)])
         assert good.value == 36
         assert not bad.ok
@@ -115,7 +113,7 @@ class TestFailureHandling:
             time.sleep(0.1)
             return i
 
-        outcomes = BatchRunner(workers=2, retries=1).run(
+        outcomes = BatchRunner(workers=2).run(
             [Trial(trial, (i,)) for i in range(3)]
         )
         assert [o.value for o in outcomes] == [0, 1, 2]

@@ -195,7 +195,7 @@ class TestPerTrialAttribution:
     """Concurrent trials sharing one cache: per-trial stats must add up
     exactly to the shared counters — no lookup lost, none double-counted."""
 
-    def test_threaded_trials_attribute_every_lookup(self):
+    def test_threaded_trials_attribute_every_lookup(self, monkeypatch):
         n_trials, keys = 4, [f"k{i}" for i in range(8)]
         cache = EncodeCache()
         barrier = threading.Barrier(n_trials)
@@ -210,7 +210,9 @@ class TestPerTrialAttribution:
             return stats
 
         per_trial = [RunStats() for _ in range(n_trials)]
-        runner = BatchRunner(workers=n_trials, retries=0)
+        # A retried trial would count its lookups twice.
+        monkeypatch.setattr("repro.runtime.batch.RETRIES", 0)
+        runner = BatchRunner(workers=n_trials)
         outcomes = runner.run([Trial(trial, (s,)) for s in per_trial])
         assert all(o.ok for o in outcomes)
 

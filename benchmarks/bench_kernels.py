@@ -4,11 +4,13 @@ Times the two stages that dominate candidate-pool construction on the
 Table 3 synthetic families (see ``bench_table3_scalability.py``):
 
 * **weighting** — ``Template.add_candidate_links`` (one path-loss
-  evaluation per candidate pair), reference scalar loop vs the vectorized
-  channel backend;
+  evaluation per candidate pair): the template's scalar loop, with its
+  distance prefilter, vs the channel model's vectorized
+  ``path_loss_matrix`` hook that ``add_candidate_links`` uses;
 * **pool** — Algorithm 1's per-requirement candidate generation
   (``generate_candidate_pool``: Yen K* queries + disconnection rounds),
-  reference dict-based Yen vs the CSR Lawler-Yen kernel.
+  with the reference dict-based Yen (:mod:`repro.graph.yen`) as its
+  ``yen=`` routine vs the default CSR Lawler-Yen kernel.
 
 Results go to a JSON report (``--out``, default
 ``benchmarks/results/BENCH_kernels.json``) with per-case timings and
@@ -34,13 +36,14 @@ from pathlib import Path
 
 from _emit import bench_meta, write_report
 from repro.encoding.approximate import generate_candidate_pool
+from repro.graph import dijkstra, kernels, yen
 from repro.network.builders import (
     DEFAULT_MAX_LINK_PL_DB,
     data_collection_template,
     synthetic_template,
 )
 from repro.network.requirements import RouteRequirement
-from repro.network.template import Template
+from repro.network.template import Template, data_collection_link_rule
 from repro.runtime.cache import build_weighted_graph
 
 #: Synthetic (n_total, n_end_devices) grids, matching the Table 3 ladder's
@@ -64,50 +67,65 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
-def bench_weighting(instance, backend: str, repeats: int) -> float:
-    """Time re-weighting the instance's template with ``backend``."""
+def bench_weighting(instance, reference: bool, repeats: int) -> float:
+    """Time re-weighting the instance's template.
+
+    ``reference`` runs the template's scalar loop, distance prefilter
+    included (what a channel without a ``path_loss_matrix`` hook gets);
+    otherwise ``add_candidate_links`` batches through the model's hook.
+    """
     nodes = instance.template.nodes
     channel = instance.channel
 
     def run() -> None:
         fresh = Template(nodes, instance.template.link_type)
-        fresh.add_candidate_links(
-            channel, DEFAULT_MAX_LINK_PL_DB, backend=backend
-        )
+        if reference:
+            fresh._add_candidate_links_scalar(
+                channel, DEFAULT_MAX_LINK_PL_DB, data_collection_link_rule
+            )
+        else:
+            fresh.add_candidate_links(channel, DEFAULT_MAX_LINK_PL_DB)
 
     return _time(run, repeats)
 
 
-def bench_pool(instance, backend: str, repeats: int) -> float:
-    """Time Algorithm 1 pool generation for the first few sensor routes."""
+def bench_pool(instance, reference: bool, repeats: int) -> float:
+    """Time Algorithm 1 pool generation for the first few sensor routes.
+
+    ``reference`` passes the dict-based Yen as the ``yen=`` routine;
+    otherwise the pools run on the default CSR kernel.
+    """
     graph = build_weighted_graph(instance.template)
     sensors = instance.sensor_ids[:POOL_ROUTES]
     reqs = [
         RouteRequirement(s, instance.sink_id, replicas=2, disjoint=True)
         for s in sensors
     ]
+    routine = yen.k_shortest_paths if reference else None
 
     def run() -> None:
         for req in reqs:
-            generate_candidate_pool(graph, req, K_STAR, backend=backend)
+            generate_candidate_pool(graph, req, K_STAR, yen=routine)
 
     return _time(run, repeats)
 
 
 def bench_micro(instance, repeats: int) -> list[dict]:
     """Single-query Dijkstra / Yen micro-comparisons on the weighted graph."""
-    from repro.graph import k_shortest_paths, shortest_path
-
     graph = build_weighted_graph(instance.template)
     source = instance.sensor_ids[0]
     sink = instance.sink_id
     cases = []
-    for name, fn in (
-        ("dijkstra", lambda b: shortest_path(graph, source, sink, backend=b)),
-        ("yen_k10", lambda b: k_shortest_paths(graph, source, sink, K_STAR, backend=b)),
+    for name, ref_fn, csr_fn in (
+        ("dijkstra",
+         lambda: dijkstra.shortest_path(graph, source, sink),
+         lambda: kernels.csr_shortest_path(graph, source, sink)),
+        ("yen_k10",
+         lambda: yen.k_shortest_paths(graph, source, sink, K_STAR),
+         lambda: kernels.csr_k_shortest_paths(graph, source, sink, K_STAR)),
     ):
-        ref = _time(lambda: fn("reference"), repeats)
-        csr = _time(lambda: fn("csr"), repeats)
+        ref = _time(ref_fn, repeats)
+        csr = _time(csr_fn, repeats)
         cases.append(
             {
                 "name": f"micro_{name}",
@@ -129,10 +147,10 @@ def run_benchmarks(quick: bool) -> dict:
 
     for n_total, n_end in sizes:
         instance = synthetic_template(n_total, n_end, seed=11)
-        w_ref = bench_weighting(instance, "reference", repeats)
-        w_vec = bench_weighting(instance, "vectorized", repeats)
-        p_ref = bench_pool(instance, "reference", repeats)
-        p_csr = bench_pool(instance, "csr", repeats)
+        w_ref = bench_weighting(instance, True, repeats)
+        w_vec = bench_weighting(instance, False, repeats)
+        p_ref = bench_pool(instance, True, repeats)
+        p_csr = bench_pool(instance, False, repeats)
         grid = [n_total, n_end]
         cases.append(
             {
@@ -174,8 +192,8 @@ def run_benchmarks(quick: bool) -> dict:
     # One office / multi-wall weighting case: the wall-crossing kernel is
     # the interesting part there (the synthetic family has no walls).
     office = data_collection_template()
-    o_ref = bench_weighting(office, "reference", repeats)
-    o_vec = bench_weighting(office, "vectorized", repeats)
+    o_ref = bench_weighting(office, True, repeats)
+    o_vec = bench_weighting(office, False, repeats)
     cases.append(
         {
             "name": "weighting_office_multiwall",

@@ -43,7 +43,7 @@ from repro.core.explorer import (
     ExplorerBase,
 )
 from repro.core.facade import build_explorer, explore
-from repro.core.kstar_search import KStarSearchResult, kstar_search
+from repro.core.kstar import KStarSearchResult, kstar_search
 from repro.core.objectives import ObjectiveSpec
 from repro.core.options import SolveOptions
 from repro.core.pareto import ParetoFront, ParetoPoint, explore_pareto

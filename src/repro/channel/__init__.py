@@ -2,7 +2,7 @@
 
 from repro.channel.base import ChannelModel, MeasuredChannel
 from repro.channel.etx import EtxCurve, build_etx_curve
-from repro.channel.matrix import CHANNEL_BACKENDS, path_loss_matrix
+from repro.channel.matrix import path_loss_matrix
 from repro.channel.log_distance import (
     FSPL_1M_2_4GHZ,
     LogDistanceModel,
@@ -22,7 +22,6 @@ from repro.channel.multiwall import MultiWallModel
 from repro.channel.shadowing import ShadowedChannel
 
 __all__ = [
-    "CHANNEL_BACKENDS",
     "ETX_CAP",
     "FSPL_1M_2_4GHZ",
     "ChannelModel",

@@ -28,41 +28,22 @@ from repro.channel.base import ChannelModel
 from repro.geometry.primitives import Point
 from repro.geometry.vectorized import points_to_array
 
-#: Recognized batch-evaluation backends.
-CHANNEL_BACKENDS = ("auto", "vectorized", "reference")
-
 
 def path_loss_matrix(
     model: ChannelModel,
     tx_points: list[Point] | tuple[Point, ...],
     rx_points: list[Point] | tuple[Point, ...] | None = None,
-    *,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Path loss in dB for every (tx, rx) pair, as a ``(T, R)`` matrix.
 
     ``rx_points`` defaults to ``tx_points`` (the all-pairs case used by
-    template weighting).  Backends:
-
-    * ``"auto"`` — use the model's ``path_loss_matrix`` hook when it has
-      one, else fall back to scalar ``path_loss_db`` calls.
-    * ``"vectorized"`` — require the hook; ``ValueError`` if absent.
-    * ``"reference"`` — always the scalar loop (the oracle the vectorized
-      path is tested against).
+    template weighting).  Uses the model's ``path_loss_matrix`` hook when
+    it has one, else scalar ``path_loss_db`` calls.
     """
-    if backend not in CHANNEL_BACKENDS:
-        raise ValueError(
-            f"unknown channel backend {backend!r}; expected one of {CHANNEL_BACKENDS}"
-        )
     if rx_points is None:
         rx_points = tx_points
     hook = getattr(model, "path_loss_matrix", None)
-    if backend == "vectorized" and hook is None:
-        raise ValueError(
-            f"channel backend 'vectorized' requested but {type(model).__name__} "
-            "has no path_loss_matrix hook"
-        )
-    if hook is not None and backend != "reference":
+    if hook is not None:
         tx_xy = points_to_array(list(tx_points))
         rx_xy = (
             tx_xy if rx_points is tx_points else points_to_array(list(rx_points))

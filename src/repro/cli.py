@@ -46,7 +46,7 @@ from repro.core.api import DEFAULT_SPEC
 from repro.core.explorer import DataCollectionExplorer
 from repro.encoding.base import EncodingError
 from repro.core.facade import explore
-from repro.core.kstar_search import kstar_search
+from repro.core.kstar import kstar_search
 from repro.core.options import SolveOptions
 from repro.encoding.approximate import ApproximatePathEncoder
 from repro.geometry.svg import SvgMarker, floorplan_from_svg, floorplan_to_svg

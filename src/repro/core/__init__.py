@@ -15,7 +15,7 @@ from repro.core.explorer import (
     decode_architecture,
 )
 from repro.core.facade import build_explorer, explore
-from repro.core.kstar_search import (
+from repro.core.kstar import (
     DEFAULT_K_LADDER,
     KStarSearchResult,
     KStarTrial,

@@ -1,6 +1,6 @@
 """The unified request/result surface: typed jobs over every entry point.
 
-:func:`~repro.core.facade.explore`, :func:`~repro.core.kstar_search.
+:func:`~repro.core.facade.explore`, :func:`~repro.core.kstar.
 kstar_search` and :func:`~repro.core.pareto.explore_pareto` grew
 divergent keyword surfaces; a :class:`JobRequest` normalizes all of
 them into one typed, serializable object — the same object the
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 from repro.core.explorer import DataCollectionExplorer
 from repro.core.facade import build_explorer, explore
-from repro.core.kstar_search import (
+from repro.core.kstar import (
     DEFAULT_K_LADDER,
     KStarSearchResult,
     kstar_search,

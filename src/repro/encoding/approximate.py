@@ -33,10 +33,10 @@ from repro.encoding.base import (
     RoutingEncoding,
     SelectionBlock,
 )
-from repro.graph.api import k_shortest_paths, resolve_backend
 from repro.graph.digraph import DiGraph
 from repro.graph.disjoint import max_disjoint_subset, minimally_disjoint_path
-from repro.runtime.cache import build_sparsified_graph, build_weighted_graph
+from repro.graph.kernels import csr_k_shortest_paths
+from repro.runtime.cache import build_weighted_graph
 from repro.runtime.instrumentation import timings_of
 from repro.milp.expr import Var, lin_sum
 from repro.milp.model import Model
@@ -72,52 +72,73 @@ def _hops_ok(path: list[int], req: RouteRequirement) -> bool:
 #: best path instead; ``none`` skips disconnection (plain Yen-K*).
 DISCONNECT_STRATEGIES = ("min-disjoint", "cheapest", "none")
 
+#: Disconnection rounds run beyond the ``N_rep`` rounds of the budget
+#: split before an insufficient pool is given up on.
+MAX_EXTRA_ROUNDS = 4
+
 
 def generate_candidate_pool(
     graph: DiGraph,
     req: RouteRequirement,
     k_star: int,
-    max_extra_rounds: int = 4,
     disconnect: str = "min-disjoint",
     *,
     yen=None,
-    backend: str | None = None,
 ) -> list[CandidatePath]:
     """Algorithm 1's candidate generation for one requirement.
 
     Returns a deduplicated pool ordered by discovery (cost order within
     each round).  Raises :class:`EncodingError` when the graph cannot
     supply the required number of (disjoint) paths even after
-    ``max_extra_rounds`` additional disconnection rounds.
+    :data:`MAX_EXTRA_ROUNDS` additional disconnection rounds.
 
     ``disconnect`` selects what gets masked between rounds (see
     :data:`DISCONNECT_STRATEGIES`); anything but the default
     ``"min-disjoint"`` exists for ablation studies.
 
-    ``yen`` overrides the K-shortest-paths routine — the runtime passes a
-    memoized one (:meth:`repro.runtime.cache.EncodeCache.yen_paths`) so
-    repeated sweeps reuse candidate pools.  It must behave exactly like
-    :func:`repro.graph.yen.k_shortest_paths`.  ``backend`` selects the
-    graph kernel backend for the default routine (see
-    :func:`repro.graph.api.resolve_backend`); it is ignored when ``yen``
-    is given, since the override already embodies a backend choice.
+    ``yen`` overrides the K-shortest-paths routine (default: the CSR
+    kernel) — the runtime passes a memoized one
+    (:meth:`repro.runtime.cache.EncodeCache.yen_paths`) so repeated
+    sweeps reuse candidate pools.  It must behave exactly like
+    :func:`repro.graph.yen.k_shortest_paths`.
     """
     if disconnect not in DISCONNECT_STRATEGIES:
         raise ValueError(
             f"unknown disconnect strategy {disconnect!r}; "
             f"choose from {DISCONNECT_STRATEGIES}"
         )
-    if yen is None:
-        resolved = resolve_backend(backend)
+    pool = _candidate_rounds(
+        graph, req, k_star, yen or csr_k_shortest_paths, disconnect
+    )
+    if not _pool_sufficient(pool, req):
+        need = f"{req.replicas} disjoint" if req.disjoint else f"{req.replicas}"
+        raise EncodingError(
+            f"route {req.source}->{req.dest}: pool of {len(pool)} candidates "
+            f"cannot supply {need} path(s); increase k_star or relax the "
+            f"requirement"
+        )
+    return pool
 
-        def yen(g: DiGraph, source, target, k: int):
-            return k_shortest_paths(g, source, target, k, backend=resolved)
+
+def _candidate_rounds(
+    graph: DiGraph,
+    req: RouteRequirement,
+    k_star: int,
+    yen,
+    disconnect: str = "min-disjoint",
+) -> list[CandidatePath]:
+    """Algorithm 1's round loop: one ``yen`` query per round.
+
+    Masks the disconnected paths on ``graph`` between rounds and clears
+    every mask before returning, also when ``yen`` raises.  The pool may
+    be insufficient; :func:`generate_candidate_pool` checks it.
+    """
     k_per_round, n_rep = budget_div(k_star, req.replicas)
     pool: list[CandidatePath] = []
     seen: set[tuple[int, ...]] = set()
     rounds = 0
     try:
-        while rounds < n_rep + max_extra_rounds:
+        while rounds < n_rep + MAX_EXTRA_ROUNDS:
             rounds += 1
             found = yen(graph, req.source, req.dest, k_per_round)
             round_paths = []
@@ -147,14 +168,6 @@ def generate_candidate_pool(
                     graph.mask_edge(u, v)
     finally:
         graph.clear_masks()
-
-    if not _pool_sufficient(pool, req):
-        need = f"{req.replicas} disjoint" if req.disjoint else f"{req.replicas}"
-        raise EncodingError(
-            f"route {req.source}->{req.dest}: pool of {len(pool)} candidates "
-            f"cannot supply {need} path(s); increase k_star or relax the "
-            f"requirement"
-        )
     return pool
 
 
@@ -175,26 +188,12 @@ class ApproximatePathEncoder(RoutingEncoder):
         Candidate budget per required route (the paper's ``K*``).  Larger
         values approach the exhaustive optimum at higher solver cost
         (Table 4); the paper's guideline is 3-10 for networks of this size.
-    max_path_loss_db:
-        Optional per-link prefilter: template edges lossier than this are
-        ignored during candidate generation (the paper's "disregard links
-        with path loss below a certain threshold" step).
-    max_out_degree:
-        Optional sparsification of the candidate-generation graph: keep
-        only this many lowest-loss outgoing links per node.  Dense
-        templates (hundreds of candidate neighbours per node) slow Yen's
-        routine without contributing plausible path candidates — a node's
-        best links dominate every low-loss path.  Requirements whose pool
-        cannot be filled on the sparsified graph automatically fall back
-        to the full graph, so the encoding never loses feasibility.
+        The paper's "disregard links with path loss below a certain
+        threshold" step happens earlier, when
+        :meth:`Template.add_candidate_links` applies its cutoff.
     disconnect:
         Between-round disconnection strategy (ablation hook); see
         :data:`DISCONNECT_STRATEGIES`.
-    backend:
-        Graph kernel backend for the Yen queries (``"auto"``, ``"csr"``
-        or ``"reference"``; see :func:`repro.graph.api.resolve_backend`).
-        ``None`` defers to the ``REPRO_GRAPH_BACKEND`` environment
-        variable at query time.
     """
 
     name = "approximate"
@@ -202,26 +201,17 @@ class ApproximatePathEncoder(RoutingEncoder):
     def __init__(
         self,
         k_star: int = 10,
-        max_path_loss_db: float | None = None,
-        max_out_degree: int | None = None,
         disconnect: str = "min-disjoint",
-        backend: str | None = None,
     ) -> None:
         if k_star < 1:
             raise ValueError("K* must be positive")
-        if max_out_degree is not None and max_out_degree < 1:
-            raise ValueError("max_out_degree must be positive")
         if disconnect not in DISCONNECT_STRATEGIES:
             raise ValueError(
                 f"unknown disconnect strategy {disconnect!r}; "
                 f"choose from {DISCONNECT_STRATEGIES}"
             )
-        resolve_backend(backend)  # validate eagerly; resolve per query
         self.k_star = k_star
-        self.max_path_loss_db = max_path_loss_db
-        self.max_out_degree = max_out_degree
         self.disconnect = disconnect
-        self.backend = backend
 
     def encode(
         self,
@@ -243,28 +233,24 @@ class ApproximatePathEncoder(RoutingEncoder):
         timings = timings_of(stats)
         with timings.phase("pathloss"):
             graph, graph_key = self._working_graph(template, cache, stats)
-            sparse, sparse_key = self._sparsified(graph, graph_key, cache, stats)
-        yen_on = self._yen_routine(cache, stats, timings)
+
+        def yen(g: DiGraph, source, target, k: int):
+            with timings.phase("yen"):
+                if graph_key is not None:
+                    return cache.yen_paths(
+                        graph_key, g, source, target, k, stats=stats
+                    )
+                return csr_k_shortest_paths(g, source, target, k)
+
         fixed = {node.id for node in template.nodes if node.fixed}
         blocks: list[SelectionBlock] = []
         edge_uses: dict[Edge, list[Var]] = {}
         path_var_count = 0
 
         for req_index, req in enumerate(routes):
-            pool = None
-            if sparse is not None:
-                try:
-                    pool = generate_candidate_pool(
-                        sparse, req, self.k_star, disconnect=self.disconnect,
-                        yen=yen_on(sparse, sparse_key),
-                    )
-                except EncodingError:
-                    pool = None  # fall back to the full graph below
-            if pool is None:
-                pool = generate_candidate_pool(
-                    graph, req, self.k_star, disconnect=self.disconnect,
-                    yen=yen_on(graph, graph_key),
-                )
+            pool = generate_candidate_pool(
+                graph, req, self.k_star, disconnect=self.disconnect, yen=yen
+            )
             pick = [
                 model.binary(f"y[p{req_index}][{k}]") for k in range(len(pool))
             ]
@@ -308,42 +294,9 @@ class ApproximatePathEncoder(RoutingEncoder):
         concurrent trials share the template.
         """
         if cache is not None:
-            shared, key = cache.weighted_graph(
-                template, self.max_path_loss_db, stats=stats
-            )
+            shared, key = cache.weighted_graph(template, stats=stats)
             return shared.copy(), key
-        return build_weighted_graph(template, self.max_path_loss_db), None
-
-    def _sparsified(
-        self, graph: DiGraph, graph_key: str | None, cache, stats
-    ) -> tuple[DiGraph | None, str | None]:
-        """The degree-limited copy of the working graph, if configured."""
-        if self.max_out_degree is None:
-            return None, None
-        if cache is not None and graph_key is not None:
-            shared, key = cache.sparsified_graph(
-                graph_key, graph, self.max_out_degree, stats=stats
-            )
-            return shared.copy(), key
-        return build_sparsified_graph(graph, self.max_out_degree), None
-
-    def _yen_routine(self, cache, stats, timings):
-        """Per-graph Yen routines: memoized when a cache is available."""
-        backend = self.backend
-
-        def bind(graph: DiGraph, graph_key: str | None):
-            def yen(g: DiGraph, source, target, k: int):
-                with timings.phase("yen"):
-                    if cache is not None and graph_key is not None:
-                        return cache.yen_paths(
-                            graph_key, g, source, target, k,
-                            stats=stats, backend=backend,
-                        )
-                    return k_shortest_paths(g, source, target, k, backend=backend)
-
-            return yen
-
-        return bind
+        return build_weighted_graph(template), None
 
     @staticmethod
     def _add_disjointness_rows(

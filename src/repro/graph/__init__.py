@@ -1,20 +1,12 @@
 """Graph algorithm substrate: digraph, Dijkstra, Yen's K-shortest paths.
 
-``shortest_path`` and ``k_shortest_paths`` are backend dispatchers
-(:mod:`repro.graph.api`): they run on the array-backed CSR kernels
-(:mod:`repro.graph.kernels`) when numpy is available and fall back to the
-pure-Python reference implementations otherwise.  Pass
-``backend="reference"`` (or set ``REPRO_GRAPH_BACKEND=reference``) to
-force the dict-based originals at any call site.
+``shortest_path`` and ``k_shortest_paths`` are the array-backed CSR
+kernels of :mod:`repro.graph.kernels`.  The dict-based
+:mod:`repro.graph.dijkstra` and :mod:`repro.graph.yen` are their
+reference implementations, kept as the oracle the kernels are tested
+against.
 """
 
-from repro.graph.api import (
-    BACKEND_ENV_VAR,
-    GRAPH_BACKENDS,
-    k_shortest_paths,
-    resolve_backend,
-    shortest_path,
-)
 from repro.graph.digraph import INFINITY, DiGraph
 from repro.graph.dijkstra import NoPathError, shortest_path_tree
 from repro.graph.disjoint import (
@@ -25,10 +17,10 @@ from repro.graph.disjoint import (
     path_edges,
 )
 from repro.graph.enumeration import all_simple_paths, count_simple_paths
+from repro.graph.kernels import csr_k_shortest_paths as k_shortest_paths
+from repro.graph.kernels import csr_shortest_path as shortest_path
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "GRAPH_BACKENDS",
     "INFINITY",
     "DiGraph",
     "NoPathError",
@@ -40,7 +32,6 @@ __all__ = [
     "max_disjoint_subset",
     "minimally_disjoint_path",
     "path_edges",
-    "resolve_backend",
     "shortest_path",
     "shortest_path_tree",
 ]

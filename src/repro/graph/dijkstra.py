@@ -6,9 +6,8 @@ Yen needs without graph copies: a set of *banned nodes* (nodes already on
 the root path) and a set of *banned edges* (edges removed for this spur).
 
 This is the pure-Python **reference** implementation; the array-backed CSR
-kernel in :mod:`repro.graph.kernels` is the default production backend
-(see :mod:`repro.graph.api` for backend selection) and is cross-checked
-against this module property-by-property.
+kernel in :mod:`repro.graph.kernels` is what the library runs, and it is
+cross-checked against this module property-by-property.
 """
 
 from __future__ import annotations

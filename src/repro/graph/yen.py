@@ -8,9 +8,9 @@ query; each subsequent candidate is found by *spurring* off every prefix of
 an already-accepted path with the previously used continuations banned.
 
 This module is the pure-Python **reference** implementation.  The
-production backend is the Lawler-optimized CSR kernel in
-:mod:`repro.graph.kernels`; :func:`repro.graph.api.k_shortest_paths`
-selects between the two.
+library runs the Lawler-optimized CSR kernel in :mod:`repro.graph.kernels`
+(exported as :func:`repro.graph.k_shortest_paths`); this module is the
+oracle it is tested against.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ site                      fires inside
                           get_or_compute` — the compute callback fails
 ``checkpoint.corrupt``    checkpoint writes — the record line is mangled so
                           the next load sees a corrupted file
-``kstar.abort``           :func:`repro.core.kstar_search.kstar_search` after
+``kstar.abort``           :func:`repro.core.kstar.kstar_search` after
                           a checkpoint record lands — simulates a kill
                           mid-ladder with the checkpoint intact
 ``failures.drop``         :func:`repro.failures.sweep.verify_patterns` after

@@ -12,7 +12,6 @@ cache counters into every :class:`~repro.core.results.SynthesisResult`.
 from repro.runtime.batch import BatchRunner, Trial, TrialOutcome
 from repro.runtime.cache import (
     EncodeCache,
-    build_sparsified_graph,
     build_weighted_graph,
     channel_key,
     digest,
@@ -34,7 +33,6 @@ __all__ = [
     "RunStats",
     "Trial",
     "TrialOutcome",
-    "build_sparsified_graph",
     "build_weighted_graph",
     "channel_key",
     "digest",

@@ -29,10 +29,11 @@ from dataclasses import is_dataclass
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Any
 
-from repro.graph.api import k_shortest_paths, resolve_backend
 from repro.graph.digraph import DiGraph
+from repro.graph.kernels import csr_k_shortest_paths
 from repro.resilience.faults import maybe_fire
 from repro.runtime.instrumentation import CacheCounters, RunStats
+from repro.telemetry import metrics
 from repro.telemetry.trace import span
 
 #: Cache regions, used for counter attribution.
@@ -80,7 +81,10 @@ class EncodeCache:
     One instance is typically shared across all trials of a sweep (the
     K* ladder, a Pareto front, a ``repro.explore`` call).  ``counters``
     aggregates hits/misses across every user; per-trial attribution goes
-    through the ``stats`` argument of the lookup methods.
+    through the ``stats`` argument of the lookup methods.  Each lookup
+    and each seed also counts once in the process-wide metrics registry
+    (``cache.lookups``, ``cache.partial_reuse``), however many counter
+    sets attribute it.
     """
 
     def __init__(self) -> None:
@@ -164,6 +168,7 @@ class EncodeCache:
             self.counters.record_partial(region)
         if stats is not None:
             stats.cache.record_partial(region)
+        metrics.counter("cache.partial_reuse", region=region).inc()
         return True
 
     def peek(self, key: Hashable) -> Any:
@@ -182,6 +187,9 @@ class EncodeCache:
             self.counters.record(region, hit)
         if stats is not None:
             stats.cache.record(region, hit)
+        metrics.counter(
+            "cache.lookups", region=region, result="hit" if hit else "miss"
+        ).inc()
 
     def __len__(self) -> int:
         with self._lock:
@@ -208,48 +216,51 @@ class EncodeCache:
             )
         return {"entries": size, **counters}
 
-    # -- path-loss weighted graphs ------------------------------------------
+    # -- content keys --------------------------------------------------------
 
     @staticmethod
-    def template_graph_key(
-        template, max_path_loss_db: float | None = None
-    ) -> str:
+    def template_graph_key(template) -> str:
         """Content key of a template's path-loss-weighted graph."""
         edges = sorted(template.edges())
-        return digest(
-            "weighted-graph", template.node_count, max_path_loss_db, edges
-        )
+        return digest("weighted-graph", template.node_count, edges)
+
+    @staticmethod
+    def yen_key(
+        graph_key: str,
+        graph: DiGraph,
+        source: Hashable,
+        target: Hashable,
+        k: int,
+    ) -> str:
+        """Content key of a Yen query: weights, route, K and masks.
+
+        ``graph_key`` must identify the *unmasked* content of ``graph``;
+        the current masked-edge set is folded in here, so every
+        disconnection round of Algorithm 1 gets its own key.
+        """
+        masks = tuple(sorted(graph.masked_edges))
+        return digest("yen", graph_key, source, target, k, masks)
+
+    @staticmethod
+    def reach_key(channel, anchors: Sequence, test_points: Iterable) -> str:
+        """Content key of the anchor rankings over ``test_points``."""
+        anchor_keys = [(a.id, a.location) for a in anchors]
+        points = tuple(test_points)
+        return digest("reach", channel_key(channel), anchor_keys, points)
+
+    # -- path-loss weighted graphs ------------------------------------------
 
     def weighted_graph(
-        self,
-        template,
-        max_path_loss_db: float | None = None,
-        stats: RunStats | None = None,
+        self, template, stats: RunStats | None = None
     ) -> tuple[DiGraph, str]:
         """The candidate graph with path-loss weights, plus its key.
 
-        Applies the optional per-link loss prefilter.  The returned graph
-        is shared — copy before masking edges.
+        The returned graph is shared — copy before masking edges.
         """
-        key = self.template_graph_key(template, max_path_loss_db)
+        key = self.template_graph_key(template)
 
         def compute() -> DiGraph:
-            return build_weighted_graph(template, max_path_loss_db)
-
-        return self.get_or_compute(REGION_PATHLOSS, key, compute, stats), key
-
-    def sparsified_graph(
-        self,
-        graph_key: str,
-        graph: DiGraph,
-        max_out_degree: int,
-        stats: RunStats | None = None,
-    ) -> tuple[DiGraph, str]:
-        """The degree-limited copy of ``graph``, plus its key."""
-        key = digest("sparse", graph_key, max_out_degree)
-
-        def compute() -> DiGraph:
-            return build_sparsified_graph(graph, max_out_degree)
+            return build_weighted_graph(template)
 
         return self.get_or_compute(REGION_PATHLOSS, key, compute, stats), key
 
@@ -263,24 +274,12 @@ class EncodeCache:
         target: Hashable,
         k: int,
         stats: RunStats | None = None,
-        *,
-        backend: str | None = None,
     ) -> list[tuple[list, float]]:
-        """Yen's K shortest paths, keyed by (weights, route, K, masks).
-
-        ``graph_key`` must identify the *unmasked* content of ``graph``;
-        the current masked-edge set is folded into the key here, so every
-        disconnection round of Algorithm 1 gets its own entry.  The
-        *resolved* graph backend (see :func:`repro.graph.api.
-        resolve_backend`) is part of the key too: backends may order
-        equal-cost paths differently, so their pools never alias.
-        """
-        resolved = resolve_backend(backend)
-        masks = tuple(sorted(graph.masked_edges))
-        key = digest("yen", resolved, graph_key, source, target, k, masks)
+        """Yen's K shortest paths on ``graph``, under :meth:`yen_key`."""
+        key = self.yen_key(graph_key, graph, source, target, k)
 
         def compute() -> list[tuple[list, float]]:
-            return k_shortest_paths(graph, source, target, k, backend=resolved)
+            return csr_k_shortest_paths(graph, source, target, k)
 
         return self.get_or_compute(REGION_YEN, key, compute, stats)
 
@@ -301,12 +300,7 @@ class EncodeCache:
         level.
         """
         points = tuple(test_points)
-        key = digest(
-            "reach",
-            channel_key(channel),
-            [(a.id, a.location) for a in anchors],
-            points,
-        )
+        key = self.reach_key(channel, anchors, points)
 
         def compute() -> list[list[tuple[float, int]]]:
             return [
@@ -323,26 +317,11 @@ class EncodeCache:
 _MISSING = object()
 
 
-def build_weighted_graph(
-    template, max_path_loss_db: float | None = None
-) -> DiGraph:
+def build_weighted_graph(template) -> DiGraph:
     """A fresh path-loss-weighted candidate graph for ``template``."""
     graph = DiGraph()
     for node in template.nodes:
         graph.add_node(node.id)
     for u, v, pl in template.edges():
-        if max_path_loss_db is None or pl <= max_path_loss_db:
-            graph.add_edge(u, v, pl)
+        graph.add_edge(u, v, pl)
     return graph
-
-
-def build_sparsified_graph(graph: DiGraph, max_out_degree: int) -> DiGraph:
-    """Keep only the ``max_out_degree`` lowest-loss out-links per node."""
-    sparse = DiGraph()
-    for node in graph.nodes():
-        sparse.add_node(node)
-    for node in graph.nodes():
-        best = sorted(graph.successors(node), key=lambda it: it[1])
-        for v, w in best[:max_out_degree]:
-            sparse.add_edge(node, v, w)
-    return sparse

@@ -14,11 +14,13 @@ trials run concurrently on one cache.
 
 Since the :mod:`repro.telemetry` subsystem landed, ``RunStats`` is a thin
 compatibility shim over the process-wide metrics registry: every phase
-timing and cache lookup recorded here is mirrored into
-:mod:`repro.telemetry.metrics` (``phase.seconds`` histograms,
-``cache.lookups`` counters), so ``--metrics`` exports aggregate across
+timing recorded here is mirrored into :mod:`repro.telemetry.metrics`
+(``phase.seconds`` histograms), so ``--metrics`` exports aggregate across
 all trials while the per-trial dicts — and the ``--stats-json`` payload
-built from them — stay exactly as before.
+built from them — stay exactly as before.  Cache lookups and seeds are
+counted into the registry once, by the
+:class:`~repro.runtime.cache.EncodeCache` that serves them, not by each
+:class:`CacheCounters` that attributes them.
 """
 
 from __future__ import annotations
@@ -56,17 +58,13 @@ class CacheCounters:
     partial_reuse: dict[str, int] = field(default_factory=dict)
 
     def record(self, region: str, hit: bool) -> None:
-        """Count one lookup against ``region`` (mirrored to metrics)."""
+        """Count one lookup against ``region``."""
         table = self.hits if hit else self.misses
         table[region] = table.get(region, 0) + 1
-        _metrics.counter(
-            "cache.lookups", region=region, result="hit" if hit else "miss"
-        ).inc()
 
     def record_partial(self, region: str) -> None:
         """Count one incrementally reused (seeded) entry for ``region``."""
         self.partial_reuse[region] = self.partial_reuse.get(region, 0) + 1
-        _metrics.counter("cache.partial_reuse", region=region).inc()
 
     def hit_count(self, region: str | None = None) -> int:
         """Total hits, optionally restricted to one region."""

@@ -26,6 +26,11 @@ when a *certificate* holds against the edited graph:
   no new path can enter any round's top-K.  (Rounds that returned fewer
   than K paths reject the certificate: a new edge could create paths.)
 
+The rounds are walked by the encoder's own round loop
+(:func:`repro.encoding.approximate._candidate_rounds`) on a private copy
+of the edited graph, so the mask sets, and hence the cache keys
+(:meth:`EncodeCache.yen_key`), line up with a cold build round for round.
+
 Edges whose weight only *increased* and that appear on no returned path
 are safe without a bound: paths through them were not in the top-K
 before and only got worse.  Anything unprovable simply falls back to a
@@ -39,13 +44,10 @@ from typing import Any
 
 from repro.core.options import SolveOptions
 from repro.core.results import SynthesisResult
-from repro.encoding.approximate import _hops_ok, _pool_sufficient, budget_div
-from repro.graph.api import resolve_backend
+from repro.encoding.approximate import _candidate_rounds
 from repro.graph.digraph import INFINITY, DiGraph
 from repro.graph.dijkstra import shortest_path_tree
-from repro.graph.disjoint import minimally_disjoint_path
 from repro.geometry.primitives import Segment
-from repro.network.paths import CandidatePath
 from repro.network.requirements import (
     ReachabilityRequirement,
     RequirementSet,
@@ -57,8 +59,6 @@ from repro.runtime.cache import (
     REGION_YEN,
     EncodeCache,
     build_weighted_graph,
-    channel_key,
-    digest,
 )
 from repro.runtime.instrumentation import RunStats
 from repro.scenarios.edits import EditDelta
@@ -68,10 +68,6 @@ from repro.scenarios.scenario import Scenario
 #: tolerances used elsewhere in the pipeline.
 _BOUND_EPS = 1e-9
 
-#: Cap on replayed disconnection rounds, mirroring the
-#: ``max_extra_rounds`` default of ``generate_candidate_pool``.
-_MAX_EXTRA_ROUNDS = 4
-
 
 def prepare_cache(
     old: Scenario,
@@ -80,18 +76,16 @@ def prepare_cache(
     cache: EncodeCache,
     *,
     stats: RunStats | None = None,
-    backend: str | None = None,
 ) -> dict[str, int]:
     """Transplant reusable artifacts from ``old``'s keys to ``new``'s.
 
     ``cache`` must be the cache the old scenario was solved with (its
     entries are the transplant source) and is the cache the new solve
-    should use.  Assumes the facade's default encoder configuration (no
-    link prefilter, no sparsification), which is what
-    :meth:`Scenario.explore` uses.  Returns transplant counts; all
-    zeros when the edits left every key unchanged (pure requirement or
-    device edits), in which case the new solve hits the old entries
-    directly.
+    should use.  Assumes the encoder's default ``min-disjoint``
+    disconnection rule, which is what :meth:`Scenario.explore` uses.
+    Returns transplant counts; all zeros when the edits left every key
+    unchanged (pure requirement or device edits), in which case the new
+    solve hits the old entries directly.
     """
     info = {
         "graph_seeded": 0,
@@ -104,17 +98,14 @@ def prepare_cache(
         return info
 
     if isinstance(new.requirements, RequirementSet):
-        old_gkey = EncodeCache.template_graph_key(old.template, None)
-        new_gkey = EncodeCache.template_graph_key(new.template, None)
+        old_gkey = EncodeCache.template_graph_key(old.template)
+        new_gkey = EncodeCache.template_graph_key(new.template)
         if new_gkey != old_gkey and cache.peek(old_gkey) is not None:
-            new_graph = build_weighted_graph(new.template, None)
+            new_graph = build_weighted_graph(new.template)
             if cache.seed(REGION_PATHLOSS, new_gkey, new_graph, stats):
                 info["graph_seeded"] = 1
             changed = _edge_changes(old, new)
-            replayer = _YenReplayer(
-                new_graph, old_gkey, new_gkey, changed,
-                resolve_backend(backend),
-            )
+            replayer = _YenReplayer(new_graph, old_gkey, new_gkey, changed)
             for req in new.requirements.routes:
                 seeded = replayer.replay(req, new.k_star, cache, stats)
                 if seeded:
@@ -186,6 +177,10 @@ def _edge_changes(
     return out
 
 
+class _Abort(Exception):
+    """A round the old cache cannot provably answer: rebuild the route."""
+
+
 class _YenReplayer:
     """Replays Algorithm 1's per-route cache-key walk against new keys."""
 
@@ -195,13 +190,14 @@ class _YenReplayer:
         old_gkey: str,
         new_gkey: str,
         changed: dict[tuple[int, int], tuple[float | None, float | None]],
-        backend: str,
     ) -> None:
         self.new_graph = new_graph
+        #: The rounds mask edges here; ``new_graph`` is the seeded entry
+        #: and the certificate's unmasked distance source.
+        self.graph = new_graph.copy()
         self.old_gkey = old_gkey
         self.new_gkey = new_gkey
         self.changed = changed
-        self.backend = backend
         self._forward: dict[int, dict[Any, float]] = {}
         self._backward: dict[int, dict[Any, float]] = {}
         self._reversed: DiGraph | None = None
@@ -262,58 +258,35 @@ class _YenReplayer:
     ) -> int:
         """Walk one route's rounds; seed new keys when all rounds certify.
 
-        Returns the number of rounds seeded (0 on abort — the new solve
-        then recomputes that route cold, which is always correct).
-        Mirrors ``generate_candidate_pool``'s control flow exactly so
-        the mask sets, and hence the cache keys, line up round for
-        round.
+        Runs the encoder's round loop with a Yen routine that answers
+        each round from the old solve's entry under the same route, K and
+        masks once the certificate holds for it, and aborts the route
+        otherwise.  Returns the number of rounds seeded (0 on abort — the
+        new solve then recomputes that route cold, which is always
+        correct).
         """
-        k_per_round, n_rep = budget_div(k_star, req.replicas)
-        masks: set[tuple[int, int]] = set()
-        pool: list[CandidatePath] = []
-        seen: set[tuple[int, ...]] = set()
         seeds: list[tuple[str, list[tuple[list[int], float]]]] = []
-        rounds = 0
-        while rounds < n_rep + _MAX_EXTRA_ROUNDS:
-            rounds += 1
-            mask_key = tuple(sorted(masks))
-            old_key = digest(
-                "yen", self.backend, self.old_gkey, req.source, req.dest,
-                k_per_round, mask_key,
+
+        def yen(
+            graph: DiGraph, source: int, target: int, k: int
+        ) -> list[tuple[list[int], float]]:
+            found: list[tuple[list[int], float]] | None = cache.peek(
+                EncodeCache.yen_key(self.old_gkey, graph, source, target, k)
             )
-            found = cache.peek(old_key)
-            if found is None:
-                return 0  # the old solve never touched this round
-            if not self._round_reusable(
-                found, k_per_round, req.source, req.dest
+            if found is None or not self._round_reusable(
+                found, k, source, target
             ):
-                return 0
+                raise _Abort  # never run by the old solve, or not provable
             seeds.append((
-                digest(
-                    "yen", self.backend, self.new_gkey, req.source, req.dest,
-                    k_per_round, mask_key,
-                ),
+                EncodeCache.yen_key(self.new_gkey, graph, source, target, k),
                 found,
             ))
-            round_paths = []
-            for nodes, cost in found:
-                if not _hops_ok(nodes, req):
-                    continue
-                key = tuple(nodes)
-                round_paths.append(nodes)
-                if key not in seen:
-                    seen.add(key)
-                    pool.append(CandidatePath(key, cost))
-            if rounds >= n_rep and _pool_sufficient(pool, req):
-                break
-            if not round_paths:
-                break
-            idx = minimally_disjoint_path([p.nodes for p in pool])
-            # Every pool-path edge exists unchanged in both graphs (the
-            # certificate rejected anything else), so the cold build's
-            # ``has_edge`` guard is always true here and the mask
-            # evolution matches it exactly.
-            masks.update(pool[idx].edges)
+            return found
+
+        try:
+            _candidate_rounds(self.graph, req, k_star, yen)
+        except _Abort:
+            return 0
         seeded = 0
         for key, value in seeds:
             if cache.seed(REGION_YEN, key, value, stats):
@@ -335,12 +308,7 @@ def _reach_key(scenario: Scenario, req: ReachabilityRequirement) -> str:
     anchors = [
         n for n in scenario.template.nodes if n.role == req.anchor_role
     ]
-    return digest(
-        "reach",
-        channel_key(scenario.channel),
-        [(a.id, a.location) for a in anchors],
-        tuple(req.test_points),
-    )
+    return EncodeCache.reach_key(scenario.channel, anchors, req.test_points)
 
 
 def _transplant_reach(

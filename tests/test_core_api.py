@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.core.api import JOB_SCHEMA_VERSION, JobRequest, JobResult
-from repro.core.kstar_search import KStarSearchResult
+from repro.core.kstar import KStarSearchResult
 from repro.core.options import SolveOptions
 from repro.core.pareto import ParetoFront
 from repro.resilience.checkpoint import RestoredResult

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import DataCollectionExplorer, SolveOptions, kstar_search
-from repro.core.kstar_search import KStarTrial, scan_ladder
+from repro.core.kstar import KStarTrial, scan_ladder
 from repro.encoding import ApproximatePathEncoder
 from repro.library import default_catalog
 from repro.network import (

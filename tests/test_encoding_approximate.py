@@ -167,48 +167,6 @@ class TestEncoder:
         with pytest.raises(ValueError):
             ApproximatePathEncoder(k_star=0)
 
-    def test_degree_sparsification_preserves_feasibility(self, grid):
-        routes = [RouteRequirement(s, grid.sink_id, replicas=2,
-                                   disjoint=True)
-                  for s in grid.sensor_ids]
-        model = Model()
-        mapping = build_mapping(model, grid.template, default_catalog())
-        encoding = ApproximatePathEncoder(
-            k_star=5, max_out_degree=3
-        ).encode(model, grid.template, routes, mapping.node_used)
-        model.minimize(mapping.cost_expr())
-        solution = HighsSolver().solve(model)
-        assert solution.status.has_solution
-        decoded = encoding.decode(solution)
-        assert len(decoded) == 2 * len(routes)
-
-    def test_degree_one_falls_back_to_full_graph(self, grid):
-        """Out-degree 1 cannot supply two disjoint replicas on the
-        sparsified graph; the encoder must fall back transparently."""
-        routes = [RouteRequirement(grid.sensor_ids[0], grid.sink_id,
-                                   replicas=2, disjoint=True)]
-        model = Model()
-        mapping = build_mapping(model, grid.template, default_catalog())
-        encoding = ApproximatePathEncoder(
-            k_star=5, max_out_degree=1
-        ).encode(model, grid.template, routes, mapping.node_used)
-        assert encoding.path_var_count >= 2
-
-    def test_invalid_degree_rejected(self):
-        with pytest.raises(ValueError):
-            ApproximatePathEncoder(k_star=5, max_out_degree=0)
-
-    def test_path_loss_prefilter(self, grid):
-        routes = [RouteRequirement(grid.sensor_ids[0], grid.sink_id,
-                                   replicas=1, disjoint=False)]
-        encoder = ApproximatePathEncoder(k_star=3, max_path_loss_db=75.0)
-        model = Model()
-        mapping = build_mapping(model, grid.template, default_catalog())
-        encoding = encoder.encode(model, grid.template, routes,
-                                  mapping.node_used)
-        for u, v in encoding.edge_active:
-            assert grid.template.path_loss(u, v) <= 75.0
-
 
 def is_hull_row(constraint) -> bool:
     """A disjunctive-hull row of a single-path selection block."""

@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.analysis.diagnostics import Severity
-from repro.core.kstar_search import kstar_search
+from repro.core.kstar import kstar_search
 from repro.core.options import SolveOptions
 from repro.failures import robust
 from repro.geometry.floorplan import FloorPlan, Wall

@@ -21,12 +21,9 @@ import numpy as np
 import pytest
 
 from repro.graph import (
-    BACKEND_ENV_VAR,
-    GRAPH_BACKENDS,
     DiGraph,
     NoPathError,
     k_shortest_paths,
-    resolve_backend,
     shortest_path,
 )
 from repro.graph.dijkstra import shortest_path as ref_shortest_path
@@ -236,41 +233,11 @@ class TestCSRYenBehaviour:
 
 
 class TestBackendDispatch:
-    def test_backend_names(self):
-        assert GRAPH_BACKENDS == ("auto", "csr", "reference")
-
-    def test_auto_resolves_to_csr_with_numpy(self):
-        assert resolve_backend("auto") == "csr"
-        assert resolve_backend("csr") == "csr"
-        assert resolve_backend("reference") == "reference"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("gpu")
-        with pytest.raises(ValueError):
-            shortest_path(diamond(), "s", "t", backend="gpu")
-
-    def test_env_var_consulted(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert resolve_backend() == "reference"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "csr")
-        assert resolve_backend() == "csr"
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert resolve_backend("csr") == "csr"
-
-    def test_reference_backend_is_the_reference_functions(self):
-        g = diamond()
-        assert shortest_path(g, "s", "t", backend="reference") == \
-            ref_shortest_path(g, "s", "t")
-        assert k_shortest_paths(g, "s", "t", 4, backend="reference") == \
-            ref_k_shortest_paths(g, "s", "t", 4)
+    """``repro.graph``'s query functions are the CSR kernels."""
 
     def test_csr_backend_is_the_kernel(self):
-        g = diamond()
-        assert shortest_path(g, "s", "t", backend="csr") == \
-            csr_shortest_path(g, "s", "t")
+        assert shortest_path is csr_shortest_path
+        assert k_shortest_paths is csr_k_shortest_paths
 
 
 class TestDijkstraParity:
@@ -434,13 +401,6 @@ class TestKernelScratchState:
                 csr_shortest_path(g, 0, n - 1)
         else:
             assert csr_shortest_path(g, 0, n - 1) == before
-
-    def test_dispatcher_default_matches_forced_backends(self):
-        g, n = random_graph(7)
-        auto = k_shortest_paths(g, 0, n - 1, 5)
-        forced = k_shortest_paths(g, 0, n - 1, 5, backend="csr")
-        assert auto == forced
-        assert np.isfinite([c for _, c in auto]).all()
 
 
 def reversed_graph(g: DiGraph) -> DiGraph:

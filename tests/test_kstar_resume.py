@@ -9,7 +9,7 @@ import pytest
 from repro.milp.solution import Solution, SolveStatus
 from repro.resilience import DeadlineBudget, injected_faults
 from repro.resilience.faults import InjectedFault
-from repro.core.kstar_search import kstar_search
+from repro.core.kstar import kstar_search
 from repro.core.options import SolveOptions
 
 #: K* -> (objective, seconds); chosen so K=5 wins and K=10 stops the scan.
@@ -52,14 +52,10 @@ def make_factory(log):
 def one_worker(monkeypatch):
     """Run the parallel ladder's batch on one inline worker, so its
     trials run in ladder order."""
-    import importlib
-
     from repro.runtime import BatchRunner
 
-    # ``repro.core.kstar_search`` names the function; patch the module.
-    module = importlib.import_module("repro.core.kstar_search")
     monkeypatch.setattr(
-        module, "BatchRunner",
+        "repro.core.kstar.BatchRunner",
         lambda workers, budget: BatchRunner(workers=1, budget=budget),
     )
 

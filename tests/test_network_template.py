@@ -134,14 +134,18 @@ class TestTemplate:
 
 
 class TestBackendEquality:
-    """Vectorized and reference link generation must build the same template."""
+    """Vectorized and scalar link generation must build the same template."""
 
     @staticmethod
-    def _clone_and_link(nodes, channel, cutoff, rule, backend):
+    def _clone_and_link(nodes, channel, cutoff, rule, path):
         template = Template(nodes)
-        added = template.add_candidate_links(
-            channel, cutoff, link_rule=rule, backend=backend
-        )
+        if path == "scalar":
+            # The loop hookless channels run, distance prefilter included.
+            added = template._add_candidate_links_scalar(
+                channel, cutoff, rule or data_collection_link_rule
+            )
+        else:
+            added = template.add_candidate_links(channel, cutoff, link_rule=rule)
         return template, added
 
     @staticmethod
@@ -175,8 +179,8 @@ class TestBackendEquality:
         nodes = self._grid_nodes()
         channel = LogDistanceModel(exponent=3.0)
         self._assert_same(
-            self._clone_and_link(nodes, channel, 85.0, mesh_link_rule, "reference"),
-            self._clone_and_link(nodes, channel, 85.0, mesh_link_rule, "vectorized"),
+            self._clone_and_link(nodes, channel, 85.0, mesh_link_rule, "scalar"),
+            self._clone_and_link(nodes, channel, 85.0, mesh_link_rule, "hook"),
         )
 
     def test_multiwall_office_data_collection(self):
@@ -186,30 +190,24 @@ class TestBackendEquality:
         nodes = self._grid_nodes(6, 4, 11.0)
         channel = MultiWallModel(office_floorplan())
         self._assert_same(
-            self._clone_and_link(nodes, channel, 92.0, None, "reference"),
-            self._clone_and_link(nodes, channel, 92.0, None, "vectorized"),
+            self._clone_and_link(nodes, channel, 92.0, None, "scalar"),
+            self._clone_and_link(nodes, channel, 92.0, None, "hook"),
         )
 
-    def test_auto_uses_the_hook_and_matches(self):
+    def test_auto_uses_the_hook_and_matches(self, monkeypatch):
         nodes = self._grid_nodes(4, 3)
         channel = LogDistanceModel(exponent=2.5)
-        self._assert_same(
-            self._clone_and_link(nodes, channel, 80.0, mesh_link_rule, "reference"),
-            self._clone_and_link(nodes, channel, 80.0, mesh_link_rule, "auto"),
+        scalar = self._clone_and_link(
+            nodes, channel, 80.0, mesh_link_rule, "scalar"
         )
 
-    def test_unknown_backend_rejected(self):
-        template = Template(make_nodes())
-        with pytest.raises(ValueError, match="unknown channel backend"):
-            template.add_candidate_links(
-                LogDistanceModel(), 90.0, backend="gpu"
-            )
+        def no_scalar_loop(*args, **kwargs):
+            raise AssertionError("a hooked channel ran the scalar loop")
 
-    def test_vectorized_requires_hook(self):
-        from repro.channel import MeasuredChannel
-
-        template = Template(make_nodes())
-        with pytest.raises(ValueError, match="path_loss_matrix hook"):
-            template.add_candidate_links(
-                MeasuredChannel({}), 90.0, backend="vectorized"
-            )
+        monkeypatch.setattr(
+            Template, "_add_candidate_links_scalar", no_scalar_loop
+        )
+        self._assert_same(
+            scalar,
+            self._clone_and_link(nodes, channel, 80.0, mesh_link_rule, "hook"),
+        )

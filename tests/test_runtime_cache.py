@@ -15,6 +15,7 @@ from repro.runtime import (
     Trial,
 )
 from repro.runtime.cache import build_weighted_graph
+from repro.telemetry import metrics
 
 
 class TestGetOrCompute:
@@ -321,6 +322,23 @@ class TestSeedAndPeek:
         before = cache.counters.to_dict()
         assert cache.peek("k") == 42
         assert cache.counters.to_dict() == before
+
+    def test_registry_counts_each_lookup_and_seed_once(self):
+        """A lookup or seed attributed to a trial's stats still counts
+        once in the metrics registry, not once per counter set."""
+        cache = EncodeCache()
+        stats = RunStats()
+        cache.get_or_compute("yen", "k1", lambda: 42, stats)
+        cache.get_or_compute("yen", "k1", lambda: 99, stats)
+        assert cache.seed("yen", "k2", [1], stats)
+        lookups = {
+            result: metrics.counter(
+                "cache.lookups", region="yen", result=result
+            ).value
+            for result in ("miss", "hit")
+        }
+        assert lookups == {"miss": 1, "hit": 1}
+        assert metrics.counter("cache.partial_reuse", region="yen").value == 1
 
     def test_counters_merge_includes_partial_reuse(self):
         a = CacheCounters()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graph import DiGraph
 from repro.runtime import EncodeCache
 from repro.scenarios import (
     apply_edits,
@@ -121,6 +122,44 @@ class TestPrepareCache:
         info = prepare_cache(scenario, edited, deltas, EncodeCache())
         assert info["graph_seeded"] == 0
         assert info["yen_rounds_seeded"] == 0
+
+
+class TestTransplantedEntries:
+    """Every entry the transplant seeds is what a cold solve stores."""
+
+    @pytest.mark.parametrize("name,edit_text,count", [
+        ("campus:buildings_x=2,buildings_y=2:0",
+         "add-wall:30,5,30,25,brick", "yen_rounds_seeded"),
+        ("moving_target::0", "add-wall:20,2,20,20,concrete", "reach_seeded"),
+    ])
+    def test_seeded_entries_equal_cold_entries(
+        self, monkeypatch, name, edit_text, count
+    ):
+        scenario, cache, base, edited, deltas = solve_then_edit(
+            name, edit_text
+        )
+        seeded: dict = {}
+        seed = cache.seed
+
+        def recording_seed(region, key, value, stats=None):
+            inserted = seed(region, key, value, stats)
+            if inserted:
+                seeded[key] = value
+            return inserted
+
+        monkeypatch.setattr(cache, "seed", recording_seed)
+        info = prepare_cache(scenario, edited, deltas, cache)
+        assert info[count] > 0
+
+        cold = EncodeCache()
+        assert edited.rebuilt().explore(cache=cold).feasible
+        for key, value in seeded.items():
+            stored = cold.peek(key)
+            assert stored is not None, f"a cold solve never stores {key}"
+            if isinstance(value, DiGraph):
+                assert list(value.edges()) == list(stored.edges())
+            else:
+                assert value == stored
 
 
 class TestWarmStart:

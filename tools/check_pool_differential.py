@@ -8,10 +8,10 @@ graph, the potentials only change how much of the graph a search
 settles, never which path it returns.  This script holds it to that on
 the scenario registry: for every route requirement of each chosen problem
 it runs Algorithm 1's ``generate_candidate_pool`` on the facade's
-working graph (path-loss weights, no link prefilter, no sparsification)
-twice, once as the library runs it and once with the potentials
-replaced by zeros, which makes every search plain Dijkstra.  The two
-pools must agree path for path and cost for cost, or fail alike.
+working graph (the template's path-loss weights) twice, once as the
+library runs it and once with the potentials replaced by zeros, which
+makes every search plain Dijkstra.  The two pools must agree path for
+path and cost for cost, or fail alike.
 
 Usage::
 
@@ -58,7 +58,7 @@ def scenario_pools(scenario, counter: list[int]) -> list:
         counter[0] += 1
         return csr_k_shortest_paths(graph, source, target, k)
 
-    graph = build_weighted_graph(scenario.template, None)
+    graph = build_weighted_graph(scenario.template)
     pools: list = []
     for req in scenario.requirements.routes:
         try:

@@ -186,15 +186,16 @@ class DiGraph:
     def copy(self) -> DiGraph:
         """A structural copy (masks are copied too).
 
-        The copy shares the original's compiled CSR view when one exists —
-        it is structurally identical, and the compiled view is immutable —
-        so the runtime's copy-then-mask trial pattern never recompiles.
+        Every node's adjacency dicts are copied, so node and edge order
+        match the original's and edits to either graph never reach the
+        other.  The copy shares the original's compiled CSR view when one
+        exists — it is structurally identical, and the compiled view is
+        immutable — so the runtime's copy-then-mask trial pattern never
+        recompiles.
         """
         g = DiGraph()
-        for node in self.nodes():
-            g.add_node(node)
-        for u, v, w in self.edges():
-            g.add_edge(u, v, w)
+        g._succ = {u: nbrs.copy() for u, nbrs in self._succ.items()}
+        g._pred = {v: nbrs.copy() for v, nbrs in self._pred.items()}
         g._masked = set(self._masked)
         g._version = self._version
         g._csr_cache = self._csr_cache

@@ -91,21 +91,20 @@ def shortest_path(
 def shortest_path_tree(graph: DiGraph, source: Node) -> dict[Node, float]:
     """Distances from ``source`` to every reachable node.
 
-    Used by template builders to check that required pairs are connected
-    before handing a template to the (expensive) MILP stage.
+    The reference for :meth:`repro.graph.kernels.CSRGraph.distances`,
+    which the library runs instead (the what-if certificate reads its
+    distances from there); tests call this one by name and require the
+    two to agree bit for bit.  Masked edges are skipped here, while the
+    CSR view counts them, so the two agree on unmasked graphs.
 
     Notes
     -----
     This routine intentionally has no ``target`` early exit: callers want
     the full distance map.  When only a single target's distance is needed,
     :func:`shortest_path` is the right call — it short-circuits the moment
-    the target is finalized and does strictly less work.
-
-    The CSR kernel's equivalent (:func:`repro.graph.kernels.CSRGraph`
-    Dijkstra) keeps ``dist``/``prev`` as flat arrays, which a
-    repeated caller (Yen's spur loop) reuses without re-hashing nodes; this
-    dict-based reference rebuilds its containers per call by design, to
-    stay obviously correct.
+    the target is finalized and does strictly less work.  This dict-based
+    reference rebuilds its containers per call by design, to stay
+    obviously correct.
     """
     if not graph.has_node(source):
         raise KeyError(f"source {source!r} not in graph")

@@ -195,23 +195,40 @@ class CSRGraph:
         nodes = self.nodes
         return [nodes[i] for i in idx_path]
 
+    def distances(self, node: int, *, reverse: bool = False) -> np.ndarray:
+        """Shortest-path distances from node index ``node`` to every node.
+
+        With ``reverse`` the distances run the other way: entry ``i`` is
+        the distance from node ``i`` to ``node``.  One scipy csgraph
+        Dijkstra over every edge slot, masked ones included; ``inf``
+        marks an unreachable node.  scipy's csgraph keeps explicit zero
+        weights as edges, so zero-weight edges count too.
+
+        Each entry is the fixpoint ``dist[v] = min over u of
+        fl(dist[u] + w(u, v))`` that any Dijkstra settling nodes in
+        distance order reaches, so on non-negative weights the floats
+        equal :func:`repro.graph.dijkstra.shortest_path_tree`'s bit for
+        bit.
+        """
+        n = self.node_count
+        forward = csr_matrix(
+            (self.weights, self.indices, self.indptr), shape=(n, n)
+        )
+        return _csgraph_dijkstra(
+            forward.T if reverse else forward, directed=True, indices=node
+        )
+
     def potentials(self, target: int) -> np.ndarray:
         """A* potentials toward node index ``target`` (cached per target).
 
-        One reverse Dijkstra from ``target`` over every edge slot, masked
-        ones included, shaved by a relative :data:`POTENTIAL_SHAVE`.
-        Masks and Yen's bans only remove edges, so these distances bound
-        every query on this view from below.  ``inf`` marks a node that
-        cannot reach ``target`` at all.  scipy's csgraph keeps explicit
-        zero weights as edges, so zero-weight edges count too.
+        The reverse :meth:`distances` to ``target``, shaved by a relative
+        :data:`POTENTIAL_SHAVE`.  Masks and Yen's bans only remove edges,
+        so these distances bound every query on this view from below.
+        ``inf`` marks a node that cannot reach ``target`` at all.
         """
         h = self._potentials.get(target)
         if h is None:
-            n = self.node_count
-            forward = csr_matrix(
-                (self.weights, self.indices, self.indptr), shape=(n, n)
-            )
-            h = _csgraph_dijkstra(forward.T, directed=True, indices=target)
+            h = self.distances(target, reverse=True)
             h *= 1.0 - POTENTIAL_SHAVE
             self._potentials[target] = h
         return h

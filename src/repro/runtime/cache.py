@@ -24,10 +24,13 @@ callers that need to mutate (e.g. mask edges for Yen rounds) copy first.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 from dataclasses import is_dataclass
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Any
+
+import numpy as np
 
 from repro.graph.digraph import DiGraph
 from repro.graph.kernels import csr_k_shortest_paths
@@ -220,9 +223,25 @@ class EncodeCache:
 
     @staticmethod
     def template_graph_key(template) -> str:
-        """Content key of a template's path-loss-weighted graph."""
-        edges = sorted(template.edges())
-        return digest("weighted-graph", template.node_count, edges)
+        """Content key of a template's path-loss-weighted graph.
+
+        A blake2b digest of the node count, the ``(u, v)`` link pairs
+        sorted lexicographically and their float64 weights: insertion
+        order does not matter, every weight bit does.
+        """
+        links = template.links
+        n = len(links)
+        pairs = np.fromiter(
+            itertools.chain.from_iterable(links), dtype=np.int64, count=2 * n
+        ).reshape(n, 2)
+        weights = np.fromiter(links.values(), dtype=np.float64, count=n)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        h = hashlib.blake2b(digest_size=16)
+        h.update(b"weighted-graph\x00")
+        h.update(np.int64(template.node_count).tobytes())
+        h.update(pairs[order].tobytes())
+        h.update(weights[order].tobytes())
+        return h.hexdigest()
 
     @staticmethod
     def yen_key(
@@ -322,6 +341,5 @@ def build_weighted_graph(template) -> DiGraph:
     graph = DiGraph()
     for node in template.nodes:
         graph.add_node(node.id)
-    for u, v, pl in template.edges():
-        graph.add_edge(u, v, pl)
+    graph.add_edges(template.edges())
     return graph

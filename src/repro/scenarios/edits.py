@@ -365,7 +365,7 @@ def _patched_template(
     if not new_channel.is_symmetric():
         raise ValueError("patched templates require a symmetric channel")
     pair_pl: dict[tuple[int, int], float] = {}
-    for u, v, pl in scenario.template.edges():
+    for (u, v), pl in scenario.template.links.items():
         # The link rule may admit only one direction of a pair (e.g.
         # relay -> sink), so key by unordered pair, not by u < v edges.
         pair_pl[(min(u, v), max(u, v))] = pl
@@ -386,27 +386,30 @@ def _patched_template(
         new_nodes, scenario.template.link_type, scenario.template.name
     )
     rule = scenario.link_rule
+    links: list[tuple[int, int, float]] = []
     for i, j in sorted(pair_pl):
         pl = pair_pl[(i, j)]
         if rule(new_nodes[i], new_nodes[j]):
-            template.set_link(i, j, pl)
+            links.append((i, j, pl))
         if rule(new_nodes[j], new_nodes[i]):
-            template.set_link(j, i, pl)
+            links.append((j, i, pl))
+    template.add_links(links)
     return template
 
 
 def _edge_diff(
     old: Template, new: Template
 ) -> tuple[tuple[int, int, float | None, float | None], ...]:
-    old_edges = {(u, v): w for u, v, w in old.edges()}
-    new_edges = {(u, v): w for u, v, w in new.edges()}
-    out = []
-    for key in sorted(set(old_edges) | set(new_edges)):
-        w_old = old_edges.get(key)
-        w_new = new_edges.get(key)
-        if w_old != w_new:
-            out.append((key[0], key[1], w_old, w_new))
-    return tuple(out)
+    """Links added, removed or re-weighted, as ``(u, v, old, new)``.
+
+    Sorted by ``(u, v)``; ``None`` marks the side a link is absent from.
+    """
+    old_links, new_links = old.links, new.links
+    changed = {key for key, _ in old_links.items() ^ new_links.items()}
+    return tuple(
+        (u, v, old_links.get((u, v)), new_links.get((u, v)))
+        for u, v in sorted(changed)
+    )
 
 
 # -- component / requirement edits --------------------------------------------

@@ -45,8 +45,8 @@ from typing import Any
 from repro.core.options import SolveOptions
 from repro.core.results import SynthesisResult
 from repro.encoding.approximate import _candidate_rounds
-from repro.graph.digraph import INFINITY, DiGraph
-from repro.graph.dijkstra import shortest_path_tree
+from repro.graph.digraph import DiGraph
+from repro.graph.kernels import csr_of
 from repro.geometry.primitives import Segment
 from repro.network.requirements import (
     ReachabilityRequirement,
@@ -104,8 +104,9 @@ def prepare_cache(
             new_graph = build_weighted_graph(new.template)
             if cache.seed(REGION_PATHLOSS, new_gkey, new_graph, stats):
                 info["graph_seeded"] = 1
-            changed = _edge_changes(old, new)
-            replayer = _YenReplayer(new_graph, old_gkey, new_gkey, changed)
+            replayer = _YenReplayer(
+                new_graph, old_gkey, new_gkey, _changed_edges(deltas)
+            )
             for req in new.requirements.routes:
                 seeded = replayer.replay(req, new.k_star, cache, stats)
                 if seeded:
@@ -162,19 +163,23 @@ def cold_resolve(
 # -- Yen pool replay ----------------------------------------------------------
 
 
-def _edge_changes(
-    old: Scenario, new: Scenario
+def _changed_edges(
+    deltas: tuple[EditDelta, ...],
 ) -> dict[tuple[int, int], tuple[float | None, float | None]]:
-    """Directed edges whose weight differs between the two templates."""
-    old_edges = {(u, v): w for u, v, w in old.template.edges()}
-    new_edges = {(u, v): w for u, v, w in new.template.edges()}
-    out: dict[tuple[int, int], tuple[float | None, float | None]] = {}
-    for key in set(old_edges) | set(new_edges):
-        w_old = old_edges.get(key)
-        w_new = new_edges.get(key)
-        if w_old != w_new:
-            out[key] = (w_old, w_new)
-    return out
+    """Fold the deltas' edge changes: each edge's first old, last new weight.
+
+    Edges that an edit chain changed and a later edit changed back drop
+    out.
+    """
+    folded: dict[tuple[int, int], tuple[float | None, float | None]] = {}
+    for delta in deltas:
+        for u, v, w_old, w_new in delta.changed_edges:
+            first = folded.get((u, v))
+            folded[(u, v)] = (w_old if first is None else first[0], w_new)
+    return {
+        edge: (w_old, w_new)
+        for edge, (w_old, w_new) in folded.items() if w_old != w_new
+    }
 
 
 class _Abort(Exception):
@@ -191,33 +196,27 @@ class _YenReplayer:
         new_gkey: str,
         changed: dict[tuple[int, int], tuple[float | None, float | None]],
     ) -> None:
-        self.new_graph = new_graph
-        #: The rounds mask edges here; ``new_graph`` is the seeded entry
-        #: and the certificate's unmasked distance source.
+        #: The certificate's unmasked distance source: the CSR view of
+        #: ``new_graph``, the seeded entry, compiled here and shared by
+        #: the copies the new solve's encoder masks.
+        self.csr = csr_of(new_graph)
+        #: The rounds mask edges here.
         self.graph = new_graph.copy()
         self.old_gkey = old_gkey
         self.new_gkey = new_gkey
         self.changed = changed
-        self._forward: dict[int, dict[Any, float]] = {}
-        self._backward: dict[int, dict[Any, float]] = {}
-        self._reversed: DiGraph | None = None
+        self._distances: dict[tuple[int, bool], list[float]] = {}
 
-    def _dist_from(self, source: int) -> dict[Any, float]:
-        if source not in self._forward:
-            self._forward[source] = shortest_path_tree(self.new_graph, source)
-        return self._forward[source]
+    def distances(self, node: int, *, reverse: bool = False) -> list[float]:
+        """``d(node, ·)``, or reversed ``d(·, node)``, by node index.
 
-    def _dist_to(self, target: int) -> dict[Any, float]:
-        if target not in self._backward:
-            if self._reversed is None:
-                rev = DiGraph()
-                for node in self.new_graph.nodes():
-                    rev.add_node(node)
-                for u, v, w in self.new_graph.edges():
-                    rev.add_edge(v, u, w)
-                self._reversed = rev
-            self._backward[target] = shortest_path_tree(self._reversed, target)
-        return self._backward[target]
+        Distances on the edited graph, one list per node and direction.
+        """
+        i = self.csr.index[node]
+        if (i, reverse) not in self._distances:
+            dist = self.csr.distances(i, reverse=reverse)
+            self._distances[i, reverse] = dist.tolist()
+        return self._distances[i, reverse]
 
     def _round_reusable(
         self, found: list[tuple[list[int], float]], k: int,
@@ -230,6 +229,7 @@ class _YenReplayer:
         for nodes, _cost in found:
             on_paths.update(zip(nodes, nodes[1:]))
         ds = dt = None
+        index = self.csr.index
         for (u, v), (w_old, w_new) in self.changed.items():
             if (u, v) in on_paths:
                 return False  # a cached path's cost or existence changed
@@ -240,11 +240,10 @@ class _YenReplayer:
             # Added or cheapened: no path through it may reach the top-K.
             if len(found) < k:
                 return False
-            if ds is None:
-                ds = self._dist_from(source)
-                dt = self._dist_to(target)
-            assert dt is not None
-            bound = ds.get(u, INFINITY) + w_new + dt.get(v, INFINITY)
+            if ds is None or dt is None:
+                ds = self.distances(source)
+                dt = self.distances(target, reverse=True)
+            bound = ds[index[u]] + w_new + dt[index[v]]
             if not bound > found[-1][1] + _BOUND_EPS:
                 return False
         return True

@@ -113,3 +113,34 @@ class TestCopy:
         triangle.mask_edge("a", "b")
         clone = triangle.copy()
         assert clone.is_masked("a", "b")
+
+    def test_weight_changes_stay_on_their_side(self, triangle):
+        clone = triangle.copy()
+        clone.set_weight("a", "b", 7.0)
+        assert triangle.weight("a", "b") == 1.0
+        assert dict(triangle.predecessors("b")) == {"a": 1.0}
+        triangle.set_weight("b", "c", 8.0)
+        assert clone.weight("b", "c") == 2.0
+        assert dict(clone.predecessors("c")) == {"b": 2.0, "a": 5.0}
+
+    def test_edge_removals_stay_on_their_side(self, triangle):
+        clone = triangle.copy()
+        clone.remove_edge("a", "c")
+        assert triangle.has_edge("a", "c")
+        assert dict(triangle.predecessors("c")) == {"b": 2.0, "a": 5.0}
+        triangle.remove_edge("a", "b")
+        assert clone.has_edge("a", "b")
+        assert dict(clone.predecessors("b")) == {"a": 1.0}
+
+    def test_copy_keeps_node_and_edge_order(self):
+        g = DiGraph()
+        g.add_node("z")
+        g.add_edge("m", "a", 1.0)
+        g.add_edge("z", "m", 2.0)
+        g.add_edge("m", "z", 3.0)
+        g.add_edge("a", "z", 4.0)
+        clone = g.copy()
+        assert list(clone.nodes()) == list(g.nodes()) == ["z", "m", "a"]
+        assert list(clone.edges()) == list(g.edges())
+        for node in g.nodes():
+            assert list(clone.predecessors(node)) == list(g.predecessors(node))

@@ -461,6 +461,19 @@ def yen_with_and_without_potentials(monkeypatch, g, source, target, k):
     return astar, plain
 
 
+class TestDistances:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equal_the_reference_bit_for_bit(self, seed):
+        g, _ = random_graph(seed, 8, 24)
+        csr = csr_of(g)
+        for reverse, graph in ((False, g), (True, reversed_graph(g))):
+            for node, i in csr.index.items():
+                exact = shortest_path_tree(graph, node)
+                assert csr.distances(i, reverse=reverse).tolist() == [
+                    exact.get(v, np.inf) for v in csr.nodes
+                ]
+
+
 class TestPotentials:
     @pytest.mark.parametrize("seed", range(10))
     def test_shaved_reverse_distances(self, seed):

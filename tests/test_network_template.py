@@ -79,6 +79,20 @@ class TestTemplate:
         with pytest.raises(KeyError):
             template.set_link(0, 9, 10.0)
 
+    def test_add_links_in_bulk(self):
+        template = Template(make_nodes())
+        assert template.add_links([(1, 2, 70.0), (0, 1, 60.0)]) == 2
+        assert template.add_links([(1, 2, 75.0)]) == 1
+        assert list(template.edges()) == [(1, 2, 75.0), (0, 1, 60.0)]
+        assert list(template.graph.edges()) == [(0, 1, 60.0), (1, 2, 75.0)]
+        assert dict(template.links) == {(1, 2): 75.0, (0, 1): 60.0}
+        with pytest.raises(KeyError):
+            template.add_links([(0, 2, 80.0), (0, 9, 10.0)])
+        assert not template.graph.has_edge(0, 2)
+        assert template.edge_count == 2
+        with pytest.raises(TypeError):
+            template.links[(0, 2)] = 80.0  # type: ignore[index]
+
     def test_role_accessors(self):
         template = Template(make_nodes())
         assert [n.id for n in template.sensors] == [0]

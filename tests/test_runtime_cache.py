@@ -1,12 +1,15 @@
 """Tests for the content-keyed encode cache."""
 
+import math
 import threading
 import time
 
 import pytest
 
+from repro.geometry.primitives import Point
 from repro.graph import k_shortest_paths
 from repro.network import localization_template, small_grid_template
+from repro.network.template import NetworkNode, Template
 from repro.runtime import (
     BatchRunner,
     CacheCounters,
@@ -100,6 +103,53 @@ class TestWeightedGraph:
         graph_after, key_after = cache.weighted_graph(instance.template)
         assert key_after != key_before
         assert graph_after.weight(u, v) == pytest.approx(pl + 7.5)
+
+    def test_key_ignores_link_insertion_order(self):
+        template = small_grid_template(nx=4, ny=3).template
+        links = list(template.edges())
+        shuffled = Template(template.nodes, template.link_type)
+        shuffled.add_links(links[::2][::-1] + links[1::2])
+        assert list(shuffled.edges()) != links
+        assert EncodeCache.template_graph_key(
+            shuffled
+        ) == EncodeCache.template_graph_key(template)
+
+    def test_key_changes_with_one_ulp_of_weight(self):
+        template = small_grid_template(nx=4, ny=3).template
+        before = EncodeCache.template_graph_key(template)
+        u, v, pl = list(template.edges())[5]
+        template.set_link(u, v, math.nextafter(pl, math.inf))
+        assert EncodeCache.template_graph_key(template) != before
+
+    def test_key_changes_when_a_link_goes(self):
+        template = small_grid_template(nx=4, ny=3).template
+        links = list(template.edges())
+        fewer = Template(template.nodes, template.link_type)
+        fewer.add_links(links[:7] + links[8:])
+        assert EncodeCache.template_graph_key(
+            fewer
+        ) != EncodeCache.template_graph_key(template)
+
+    def test_key_changes_when_a_weight_moves_to_another_link(self):
+        nodes = small_grid_template(nx=4, ny=3).template.nodes
+        first, second = Template(nodes), Template(nodes)
+        first.set_link(0, 1, 60.0)
+        second.set_link(0, 2, 60.0)
+        assert EncodeCache.template_graph_key(
+            first
+        ) != EncodeCache.template_graph_key(second)
+
+    def test_key_changes_with_one_more_node(self):
+        template = small_grid_template(nx=4, ny=3).template
+        extra = NetworkNode(
+            template.node_count, Point(0.5, 0.5), "relay", fixed=False
+        )
+        larger = Template([*template.nodes, extra], template.link_type)
+        larger.add_links(list(template.edges()))
+        assert larger.edge_count == template.edge_count
+        assert EncodeCache.template_graph_key(
+            larger
+        ) != EncodeCache.template_graph_key(template)
 
     def test_matches_uncached_builder(self):
         instance = small_grid_template(nx=3, ny=3)

@@ -1,9 +1,13 @@
 """Tests for the incremental what-if re-solve: exactness and reuse."""
 
+import math
+
 import pytest
 
 from repro.graph import DiGraph
+from repro.graph.dijkstra import shortest_path_tree
 from repro.runtime import EncodeCache
+from repro.runtime.cache import build_weighted_graph
 from repro.scenarios import (
     apply_edits,
     cold_resolve,
@@ -12,6 +16,12 @@ from repro.scenarios import (
     parse_edit,
     prepare_cache,
 )
+from repro.scenarios.edits import _edge_diff
+from repro.scenarios.incremental import _changed_edges, _YenReplayer
+
+#: Two edits whose changed links overlap: the wall and the moved relay
+#: re-weight some of the same links.
+WALL_THEN_MOVE = ("add-wall:30,5,30,25,brick", "move-node:10,34.0,14.0")
 
 
 def solve_then_edit(name: str, *edit_texts: str):
@@ -131,13 +141,16 @@ class TestTransplantedEntries:
         ("campus:buildings_x=2,buildings_y=2:0",
          "add-wall:30,5,30,25,brick", "yen_rounds_seeded"),
         ("moving_target::0", "add-wall:20,2,20,20,concrete", "reach_seeded"),
+        pytest.param(
+            "campus:buildings_x=2,buildings_y=2:0", WALL_THEN_MOVE,
+            "yen_rounds_seeded", id="campus-add-wall-then-move-node",
+        ),
     ])
     def test_seeded_entries_equal_cold_entries(
         self, monkeypatch, name, edit_text, count
     ):
-        scenario, cache, base, edited, deltas = solve_then_edit(
-            name, edit_text
-        )
+        texts = edit_text if isinstance(edit_text, tuple) else (edit_text,)
+        scenario, cache, base, edited, deltas = solve_then_edit(name, *texts)
         seeded: dict = {}
         seed = cache.seed
 
@@ -160,6 +173,58 @@ class TestTransplantedEntries:
                 assert list(value.edges()) == list(stored.edges())
             else:
                 assert value == stored
+
+
+class TestCertificate:
+    """The certificate's inputs equal their dict-based references."""
+
+    @pytest.mark.parametrize("name,edit_text", [
+        ("campus:buildings_x=2,buildings_y=2:0", "add-wall:30,5,30,25,brick"),
+        ("multifloor:floors=2,rooms_x=3:1", "remove-wall:2"),
+    ])
+    def test_distances_equal_the_reference_bit_for_bit(
+        self, name, edit_text
+    ):
+        scenario = default_registry().generate(name)
+        edited, _ = apply_edits(scenario, (parse_edit(edit_text),))
+        graph = build_weighted_graph(edited.template)
+        reverse = DiGraph()
+        for node in graph.nodes():
+            reverse.add_node(node)
+        for u, v, w in graph.edges():
+            reverse.add_edge(v, u, w)
+        replayer = _YenReplayer(graph, "old", "new", {})
+        index = replayer.csr.index
+        routes = edited.requirements.routes
+        for source in {req.source for req in routes}:
+            forward = replayer.distances(source)
+            reference = shortest_path_tree(graph, source)
+            for node in graph.nodes():
+                assert forward[index[node]] == reference.get(node, math.inf)
+        for sink in {req.dest for req in routes}:
+            backward = replayer.distances(sink, reverse=True)
+            reference = shortest_path_tree(reverse, sink)
+            for node in graph.nodes():
+                assert backward[index[node]] == reference.get(node, math.inf)
+
+    @pytest.mark.parametrize("edit_texts", [
+        WALL_THEN_MOVE,
+        # The second edit takes the first one's wall out again.
+        ("add-wall:30,5,30,25,brick", "remove-wall:20"),
+    ], ids=["wall-then-move", "wall-then-its-removal"])
+    def test_folded_deltas_equal_the_direct_diff(self, edit_texts):
+        scenario = default_registry().generate(
+            "campus:buildings_x=2,buildings_y=2:0"
+        )
+        edits = tuple(parse_edit(t) for t in edit_texts)
+        edited, deltas = apply_edits(scenario, edits)
+        direct = {
+            (u, v): (w_old, w_new)
+            for u, v, w_old, w_new in _edge_diff(
+                scenario.template, edited.template
+            )
+        }
+        assert _changed_edges(deltas) == direct
 
 
 class TestWarmStart:

@@ -84,11 +84,19 @@ def build_link_quality(
     if thresholds:
         lq.rss_floor = max(threshold for _, threshold in thresholds)
 
+    # Each node's attribute expressions and bounds, built once per node
+    # rather than once per incident edge.
+    tx: dict[int, tuple[LinExpr, float, float]] = {}
+    rx: dict[int, tuple[LinExpr, float, float]] = {}
     for (u, v), e_var in encoding.edge_active.items():
+        if u not in tx:
+            tx[u] = (mapping.tx_strength_expr(u), *mapping.tx_strength_bounds(u))
+        if v not in rx:
+            rx[v] = (mapping.rx_gain_expr(v), *mapping.rx_gain_bounds(v))
+        tx_expr, tx_lo, tx_hi = tx[u]
+        rx_expr, rx_lo, rx_hi = rx[v]
         pl = template.path_loss(u, v)
-        rss = mapping.tx_strength_expr(u) + mapping.rx_gain_expr(v) - pl
-        tx_lo, tx_hi = mapping.tx_strength_bounds(u)
-        rx_lo, rx_hi = mapping.rx_gain_bounds(v)
+        rss = tx_expr + rx_expr - pl
         bounds = (tx_lo + rx_lo - pl, tx_hi + rx_hi - pl)
         lq.rss[(u, v)] = rss
         lq.rss_bounds[(u, v)] = bounds

@@ -5,7 +5,10 @@ into a model's variable table, :class:`LinExpr` is an affine combination of
 variables, and comparison operators build :class:`Constraint` objects.  The
 design goal is cheap construction — the full path encoding builds 10^5+
 constraints — so expressions are plain coefficient dictionaries with
-``__slots__`` and no symbolic tree.
+``__slots__`` and no symbolic tree, and every ``+``, ``-``, ``*`` and
+comparison builds exactly one coefficient dict and one :class:`LinExpr`.
+A :class:`Constraint` has no truth value, so a chained comparison such
+as ``0 <= x + y <= 1`` raises instead of keeping only its last half.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 Number = int | float
+
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
 
 
 class Var:
@@ -42,38 +48,63 @@ class Var:
         kind = "bin" if self.is_binary else ("int" if self.is_integer else "cont")
         return f"Var({self.name!r}, {kind}, [{self.lower}, {self.upper}])"
 
-    # Arithmetic delegates to LinExpr so `2 * x + y - 3 <= z` just works.
-
-    def _as_expr(self) -> LinExpr:
-        return LinExpr({self.index: 1.0})
+    # Each operator builds its result's coefficient dict directly: one
+    # dict and one LinExpr per operation, whatever the operand types.
 
     def __add__(self, other: object) -> LinExpr:
-        return self._as_expr() + other
+        i = self.index
+        if isinstance(other, Var):
+            j = other.index
+            return _wrap({i: 2.0} if j == i else {i: 1.0, j: 1.0}, 0.0)
+        if isinstance(other, LinExpr):
+            coeffs = {i: 1.0}
+            for idx, coeff in other.coeffs.items():
+                coeffs[idx] = coeffs.get(idx, 0.0) + coeff
+            return _wrap(coeffs, 0.0 + other.constant)
+        if isinstance(other, (int, float)):
+            return _wrap({i: 1.0}, 0.0 + float(other))
+        raise _operand_error(other)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> LinExpr:
-        return self._as_expr() - other
+        i = self.index
+        if isinstance(other, Var):
+            j = other.index
+            return _wrap({i: 0.0} if j == i else {i: 1.0, j: -1.0}, 0.0)
+        if isinstance(other, LinExpr):
+            coeffs = {i: 1.0}
+            for idx, coeff in other.coeffs.items():
+                coeffs[idx] = coeffs.get(idx, 0.0) - coeff
+            return _wrap(coeffs, 0.0 - other.constant)
+        if isinstance(other, (int, float)):
+            return _wrap({i: 1.0}, 0.0 - float(other))
+        raise _operand_error(other)
 
     def __rsub__(self, other: object) -> LinExpr:
-        return (-1.0) * self._as_expr() + other
+        if isinstance(other, (int, float)):
+            return _wrap({self.index: -1.0}, float(other))
+        raise _operand_error(other)
 
     def __mul__(self, other: object) -> LinExpr:
-        return self._as_expr() * other
+        if not isinstance(other, (int, float)):
+            raise TypeError("linear expressions can only be scaled by numbers")
+        scale = float(other)
+        return _wrap({self.index: scale}, 0.0 * scale)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> LinExpr:
-        return self._as_expr() * -1.0
+        return _wrap({self.index: -1.0}, -0.0)
 
     def __le__(self, other: object) -> Constraint:
-        return self._as_expr() <= other
+        return Constraint(self - other, _NEG_INF, 0.0)
 
     def __ge__(self, other: object) -> Constraint:
-        return self._as_expr() >= other
+        return Constraint(self - other, 0.0, _POS_INF)
 
     def __eq__(self, other: object) -> Constraint:  # type: ignore[override]
-        return self._as_expr() == other
+        return Constraint(self - other, 0.0, 0.0)
 
     def __hash__(self) -> int:
         return hash(("Var", self.index))
@@ -90,16 +121,6 @@ class LinExpr:
         self.coeffs: dict[int, float] = dict(coeffs) if coeffs else {}
         self.constant = float(constant)
 
-    @staticmethod
-    def _coerce(value: object) -> LinExpr:
-        if isinstance(value, LinExpr):
-            return value
-        if isinstance(value, Var):
-            return value._as_expr()
-        if isinstance(value, (int, float)):
-            return LinExpr(constant=float(value))
-        raise TypeError(f"cannot use {type(value).__name__} in a linear expression")
-
     def copy(self) -> LinExpr:
         """An independent copy of the expression."""
         return LinExpr(self.coeffs, self.constant)
@@ -107,26 +128,48 @@ class LinExpr:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: object) -> LinExpr:
-        rhs = self._coerce(other)
-        out = self.copy()
-        for idx, coeff in rhs.coeffs.items():
-            out.coeffs[idx] = out.coeffs.get(idx, 0.0) + coeff
-        out.constant += rhs.constant
-        return out
+        coeffs = self.coeffs.copy()
+        if isinstance(other, LinExpr):
+            for idx, coeff in other.coeffs.items():
+                coeffs[idx] = coeffs.get(idx, 0.0) + coeff
+            return _wrap(coeffs, self.constant + other.constant)
+        if isinstance(other, Var):
+            idx = other.index
+            coeffs[idx] = coeffs.get(idx, 0.0) + 1.0
+            return _wrap(coeffs, self.constant + 0.0)
+        if isinstance(other, (int, float)):
+            return _wrap(coeffs, self.constant + float(other))
+        raise _operand_error(other)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> LinExpr:
-        return self + self._coerce(other) * -1.0
+        coeffs = self.coeffs.copy()
+        if isinstance(other, LinExpr):
+            for idx, coeff in other.coeffs.items():
+                coeffs[idx] = coeffs.get(idx, 0.0) - coeff
+            return _wrap(coeffs, self.constant - other.constant)
+        if isinstance(other, Var):
+            idx = other.index
+            coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
+            return _wrap(coeffs, self.constant)
+        if isinstance(other, (int, float)):
+            return _wrap(coeffs, self.constant - float(other))
+        raise _operand_error(other)
 
     def __rsub__(self, other: object) -> LinExpr:
-        return self * -1.0 + other
+        if not isinstance(other, (int, float)):
+            raise _operand_error(other)
+        return _wrap(
+            {idx: coeff * -1.0 for idx, coeff in self.coeffs.items()},
+            self.constant * -1.0 + float(other),
+        )
 
     def __mul__(self, other: object) -> LinExpr:
         if not isinstance(other, (int, float)):
             raise TypeError("linear expressions can only be scaled by numbers")
         scale = float(other)
-        return LinExpr(
+        return _wrap(
             {idx: coeff * scale for idx, coeff in self.coeffs.items()},
             self.constant * scale,
         )
@@ -143,16 +186,13 @@ class LinExpr:
     # -- comparisons build constraints ---------------------------------------
 
     def __le__(self, other: object) -> Constraint:
-        diff = self - self._coerce(other)
-        return Constraint(diff, lower=float("-inf"), upper=0.0)
+        return Constraint(self - other, _NEG_INF, 0.0)
 
     def __ge__(self, other: object) -> Constraint:
-        diff = self - self._coerce(other)
-        return Constraint(diff, lower=0.0, upper=float("inf"))
+        return Constraint(self - other, 0.0, _POS_INF)
 
     def __eq__(self, other: object) -> Constraint:  # type: ignore[override]
-        diff = self - self._coerce(other)
-        return Constraint(diff, lower=0.0, upper=0.0)
+        return Constraint(self - other, 0.0, 0.0)
 
     def __hash__(self) -> int:  # consistent with custom __eq__ usage
         return id(self)
@@ -160,6 +200,24 @@ class LinExpr:
     def __repr__(self) -> str:
         terms = " + ".join(f"{c:g}*x{i}" for i, c in sorted(self.coeffs.items()))
         return f"LinExpr({terms or '0'} + {self.constant:g})"
+
+
+def _wrap(coeffs: dict[int, float], constant: float) -> LinExpr:
+    """A ``LinExpr`` that takes ownership of a freshly built ``coeffs``.
+
+    ``LinExpr(coeffs)`` copies its argument; the operators build their
+    result's dict themselves and hand it over without a second copy.
+    """
+    expr = object.__new__(LinExpr)
+    expr.coeffs = coeffs
+    expr.constant = constant
+    return expr
+
+
+def _operand_error(value: object) -> TypeError:
+    return TypeError(
+        f"cannot use {type(value).__name__} in a linear expression"
+    )
 
 
 def lin_sum(items: Iterable[Var | LinExpr | Number]) -> LinExpr:
@@ -207,6 +265,14 @@ class Constraint:
         lo = self.lower - self.expr.constant if self.lower != neg_inf else neg_inf
         hi = self.upper - self.expr.constant if self.upper != pos_inf else pos_inf
         return self.expr.coeffs, lo, hi
+
+    def __bool__(self) -> bool:
+        raise TypeError(
+            "a Constraint has no truth value: write a two-sided row as "
+            "Model.add_range(expr, lower, upper), not as a chained "
+            "comparison, and test whether two variables are the same one "
+            "with `is`, not `==`"
+        )
 
     def __repr__(self) -> str:
         return f"Constraint({self.lower} <= {self.expr!r} <= {self.upper})"

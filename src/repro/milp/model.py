@@ -28,7 +28,11 @@ from repro.milp.expr import Constraint, LinExpr, Var
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Matrix standard form of a model, ready for a solver backend."""
+    """Matrix standard form of a model, ready for a solver backend.
+
+    ``b_lower``/``b_upper`` are the model's shared, read-only
+    :meth:`Model.row_arrays` bounds.
+    """
 
     c: npt.NDArray[np.float64]
     a_matrix: sparse.csr_matrix
@@ -48,7 +52,8 @@ class RowArrays:
     ``lower``/``upper`` are the row bounds with the expression constant
     folded in, exactly as :meth:`Constraint.normalized` computes them.
     Column indices are stored as given, including any the model does
-    not own.
+    not own.  Every array is read-only: :meth:`Model.row_arrays` shares
+    one instance per row count between all its readers.
     """
 
     cols: npt.NDArray[np.int64]
@@ -89,6 +94,9 @@ class Model:
         self._constraints: list[Constraint] = []
         self._objective = LinExpr()
         self._names_seen: set[str] = set()
+        #: The last :meth:`row_arrays` result; valid while the row count
+        #: is ``len(self._flat.counts)``.
+        self._flat: RowArrays | None = None
         #: Advisory facts attached to the model before it is solved —
         #: backends may exploit hints but must stay correct ignoring
         #: them, and must re-validate anything a hint claims.  Known key:
@@ -147,18 +155,23 @@ class Model:
 
     # -- constraints and objective --------------------------------------------
 
-    def _check_registered(self, expr: LinExpr, what: str) -> None:
+    def _check_registered(
+        self, expr: LinExpr, what: str, name: str | None = None,
+    ) -> None:
         """Reject expressions referencing variables this model doesn't own.
 
         Constraints are stored by variable *index*; an index from another
         model (or a hand-built one) would silently alias an unrelated
         column in the standard form, so it is rejected here instead.
+        The message names ``what`` (and ``name``) and is only formatted
+        on failure.
         """
         n = len(self._vars)
         for idx in expr.coeffs:
             if not 0 <= idx < n:
+                label = what if name is None else f"{what} {name!r}"
                 raise ValueError(
-                    f"{what} references variable index {idx}, but model "
+                    f"{label} references variable index {idx}, but model "
                     f"{self.name!r} has {n} variable(s); was the variable "
                     f"created on a different model?"
                 )
@@ -167,13 +180,14 @@ class Model:
         """Add a constraint built from expression comparisons."""
         if not isinstance(constraint, Constraint):
             raise TypeError(
-                "expected a Constraint (did the comparison collapse to bool?)"
+                f"expected a Constraint, got {type(constraint).__name__} "
+                "(did the comparison collapse to bool?): add a two-sided "
+                "row with Model.add_range(expr, lower, upper), and test "
+                "whether two variables are the same one with `is`"
             )
         if name:
             constraint.name = name
-        self._check_registered(
-            constraint.expr, f"constraint {constraint.name!r}"
-        )
+        self._check_registered(constraint.expr, "constraint", constraint.name)
         self._constraints.append(constraint)
         return constraint
 
@@ -187,7 +201,7 @@ class Model:
             )
         if isinstance(expr, Var):
             expr = expr + 0.0
-        self._check_registered(expr, f"range row {name!r}")
+        self._check_registered(expr, "range row", name)
         constraint = Constraint(expr, lower, upper, name)
         self._constraints.append(constraint)
         return constraint
@@ -231,8 +245,12 @@ class Model:
     # -- assembly --------------------------------------------------------------
 
     def stats(self) -> ModelStats:
-        """Size statistics without building matrices."""
-        nonzeros = sum(len(c.expr.coeffs) for c in self._constraints)
+        """Size statistics without building matrices.
+
+        Nonzeros are stored terms, zero coefficients included, counted
+        on the shared :meth:`row_arrays` flattening.
+        """
+        nonzeros = int(self.row_arrays().counts.sum())
         num_binary = sum(1 for v in self._vars if v.is_binary)
         return ModelStats(
             num_vars=len(self._vars),
@@ -244,11 +262,17 @@ class Model:
     def row_arrays(self) -> RowArrays:
         """Flatten the rows into insertion-order COO arrays.
 
-        :meth:`to_standard_form` and the model-level analysis rules both
-        read the model through this one flattening.
+        Rows are immutable once added, so the flattening is computed once
+        per row count and shared: model analysis, the warm start's and
+        the solver's :meth:`to_standard_form` and :meth:`stats` all read
+        the same object until another row is added.  Its arrays are
+        read-only; copy one before writing to it.
         """
         constraints = self._constraints
         m = len(constraints)
+        flat = self._flat
+        if flat is not None and len(flat.counts) == m:
+            return flat
         exprs = [constraint.expr for constraint in constraints]
         coeff_dicts = [expr.coeffs for expr in exprs]
         counts = np.fromiter(map(len, coeff_dicts), dtype=np.int64, count=m)
@@ -275,7 +299,11 @@ class Model:
         with np.errstate(invalid="ignore", over="ignore"):
             lower = np.where(lower == -np.inf, -np.inf, lower - constant)
             upper = np.where(upper == np.inf, np.inf, upper - constant)
-        return RowArrays(cols, coefs, counts, lower, upper)
+        for array in (cols, coefs, counts, lower, upper):
+            array.flags.writeable = False
+        flat = RowArrays(cols, coefs, counts, lower, upper)
+        self._flat = flat
+        return flat
 
     def to_standard_form(self) -> StandardForm:
         """Assemble the sparse standard form for the solver backends."""

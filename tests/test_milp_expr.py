@@ -126,3 +126,31 @@ class TestComparisons:
         coeffs, lo, hi = (x <= y).normalized()
         assert coeffs == {x.index: 1.0, y.index: -1.0}
         assert hi == 0.0
+
+
+class TestConstraintTruthValue:
+    """A Constraint refuses ``bool()``; ``==`` on variables builds a row."""
+
+    def test_membership_raises(self, model):
+        a, b = model.binary("a"), model.binary("b")
+        with pytest.raises(TypeError, match="`is`"):
+            b in [a]  # noqa: B015
+        assert a in [a]  # identity short-circuits before ``==``
+
+    def test_index_raises(self, model):
+        a, b = model.binary("a"), model.binary("b")
+        with pytest.raises(TypeError, match="no truth value"):
+            [a].index(b)
+
+    def test_chained_comparison_raises_instead_of_dropping_a_side(self, model):
+        x, y = model.binary("x"), model.binary("y")
+        with pytest.raises(TypeError, match="add_range"):
+            model.add(0 <= x + y <= 1)
+        assert model.constraints == []
+        row = model.add_range(x + y, 0.0, 1.0)
+        assert (row.lower, row.upper) == (0.0, 1.0)
+
+    def test_model_add_points_at_add_range_and_is(self, model):
+        with pytest.raises(TypeError, match="add_range") as info:
+            model.add(True)
+        assert "`is`" in str(info.value)

@@ -155,3 +155,55 @@ class TestStats:
         assert stats.num_constraints == 1
         assert stats.num_nonzeros == 2
         assert "2 vars" in str(stats)
+
+
+class TestRowArraysFlattenOnce:
+    """One read-only flattening per row count, shared by every reader."""
+
+    def test_same_object_until_a_row_is_added(self, model):
+        x, y = model.binary("x"), model.binary("y")
+        model.add(x + y <= 1)
+        flat = model.row_arrays()
+        assert model.row_arrays() is flat
+        model.to_standard_form()
+        model.stats()
+        assert model.row_arrays() is flat
+
+        model.add(x - y >= 0)
+        added = model.row_arrays()
+        assert added is not flat and len(added.counts) == 2
+        model.add_range(x + 0.0, 0.0, 1.0)
+        ranged = model.row_arrays()
+        assert ranged is not added and len(ranged.counts) == 3
+        model._constraints.append(y <= 1)
+        appended = model.row_arrays()
+        assert appended is not ranged and len(appended.counts) == 4
+        assert model.row_arrays() is appended
+
+    def test_every_array_is_read_only(self, model):
+        x, y = model.binary("x"), model.binary("y")
+        model.add(x + 2 * y <= 3)
+        flat = model.row_arrays()
+        for name in ("cols", "coefs", "counts", "lower", "upper"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(flat, name)[0] = 0
+        form = model.to_standard_form()
+        with pytest.raises(ValueError, match="read-only"):
+            form.b_upper[0] = 0.0
+
+    def test_nonzeros_count_stored_zero_coefficients(self, model):
+        x, y = model.binary("x"), model.binary("y")
+        model.add(x - x <= 0)
+        model.add(x + y <= 1)
+        assert model.stats().num_nonzeros == 3
+        assert model.to_standard_form().a_matrix.nnz == 2
+
+    def test_standard_form_reads_variable_bounds_fresh(self, model):
+        x = model.binary("x")
+        model.add(x <= 1)
+        first = model.to_standard_form()
+        x.lower = x.upper = 1.0
+        second = model.to_standard_form()
+        assert (first.x_lower[0], first.x_upper[0]) == (0.0, 1.0)
+        assert (second.x_lower[0], second.x_upper[0]) == (1.0, 1.0)
+        assert second.b_upper is first.b_upper

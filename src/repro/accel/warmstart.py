@@ -92,11 +92,24 @@ def _structure_fixes(
     free block's pool and no replayed route uses it.  Device assignment
     and all continuous sizing stay free for the restricted solve.
     ``None`` when no block replays.
+
+    A single-use link's binary is its path's pick, so it is met twice;
+    the two values agree (a chosen pick's links are used, an unchosen
+    pick's single-use links lie in no free pool), and a column that
+    would get two values raises ``RuntimeError``.
     """
     encoding = built.encoding
     if encoding is None:
         return None
     fixes: dict[int, float] = {}
+
+    def fix(index: int, value: float) -> None:
+        if fixes.setdefault(index, value) != value:
+            raise RuntimeError(
+                f"warm start fixes column {index} to both "
+                f"{fixes[index]} and {value}"
+            )
+
     used_edges: set[Edge] = set()
     used_nodes: set[int] = set()
     free_edges: set[Edge] = set()
@@ -110,7 +123,7 @@ def _structure_fixes(
         replayed = True
         keep = set(chosen)
         for k, var in enumerate(block.pick):
-            fixes[var.index] = 1.0 if k in keep else 0.0
+            fix(var.index, 1.0 if k in keep else 0.0)
         for k in chosen:
             path = block.pool[k]
             used_edges.update(path.edges)
@@ -119,16 +132,16 @@ def _structure_fixes(
         return None
     for edge, var in encoding.edge_active.items():
         if edge in used_edges:
-            fixes[var.index] = 1.0
+            fix(var.index, 1.0)
         elif edge not in free_edges:
-            fixes[var.index] = 0.0
+            fix(var.index, 0.0)
     # Route nodes are certainly used.  Everything else stays free: fixed
     # nodes are already pinned by their ``alpha[..]:fixed`` rows, an
     # optional node may still be needed as a localization anchor, and
     # the consistency rows zero out isolated indicators on their own.
     for node_id, var in built.mapping.node_used.items():
         if node_id in used_nodes:
-            fixes[var.index] = 1.0
+            fix(var.index, 1.0)
     return fixes
 
 

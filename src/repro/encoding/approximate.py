@@ -19,7 +19,9 @@ candidate, "pick at least N_rep" per requirement, and — when disjointness
 is required — "at most one selected path per edge".  Constraints
 (1a)-(1c) vanish entirely because Yen only emits valid loopless paths,
 and every downstream constraint (link quality, energy) is instantiated
-only for edges that occur in some candidate.
+only for edges that occur in some candidate.  An edge that only one
+candidate uses is active exactly when that candidate is picked, so it
+takes the candidate's binary (:func:`link_variables`).
 """
 
 from __future__ import annotations
@@ -171,6 +173,22 @@ def _candidate_rounds(
     return pool
 
 
+def link_variables(
+    model: Model, edge_uses: dict[Edge, list[Var]],
+) -> dict[Edge, Var]:
+    """Each encoded link's ``edge_active`` variable.
+
+    A link that only one candidate path uses is active exactly when that
+    path is picked, so it takes the path's binary.  A link with two or
+    more uses gets its own ``e[u,v]`` binary, tied to them by the
+    consistency rows.
+    """
+    return {
+        (u, v): uses[0] if len(uses) == 1 else model.binary(f"e[{u},{v}]")
+        for (u, v), uses in edge_uses.items()
+    }
+
+
 def _pool_sufficient(pool: list[CandidatePath], req: RouteRequirement) -> bool:
     if len(pool) < req.replicas:
         return False
@@ -271,9 +289,7 @@ class ApproximatePathEncoder(RoutingEncoder):
                     edge_uses.setdefault(edge, []).append(var)
             blocks.append(SelectionBlock(req, pool, pick))
 
-        edge_active = {
-            (u, v): model.binary(f"e[{u},{v}]") for (u, v) in edge_uses
-        }
+        edge_active = link_variables(model, edge_uses)
         encoding = RoutingEncoding(
             edge_active=edge_active,
             edge_uses=edge_uses,

@@ -6,7 +6,10 @@ encoding produce the same artifact, a :class:`RoutingEncoding`:
 * ``edge_active`` — the template's link variables ``e_ij``, restricted to
   the edges the encoding can actually use (for the approximate encoding
   this restriction *is* the complexity saving: downstream link-quality and
-  energy constraints are only instantiated for these edges);
+  energy constraints are only instantiated for these edges).  A value
+  need not be a variable of its own: the approximate encoding gives a
+  link that only one candidate path uses that path's route-use binary,
+  so one binary may stand for several links;
 * ``edge_uses`` — for every encoded edge, the list of binary variables
   each of which, when 1, means "one route uses this edge"; energy
   accounting sums per-use charges over this list;
@@ -14,7 +17,8 @@ encoding produce the same artifact, a :class:`RoutingEncoding`:
 
 The encoders also wire the standard topology-consistency rows: an active
 edge implies both endpoints are used, an edge is only active when some
-route uses it, and optional nodes are only "used" when connected.
+route uses it (nothing to tie when its variable is its one use), and
+optional nodes are only "used" when connected.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ class EncodingError(Exception):
 class RoutingEncoding:
     """The artifact consumed by constraint builders and the decoder."""
 
+    #: Each encoded link's activity binary.  A value may be a route-use
+    #: binary shared by several links (each one's only use), so sum over
+    #: this mapping with ``lin_sum``, which adds repeated variables.
     edge_active: dict[Edge, Var]
     edge_uses: dict[Edge, list[Var]] = field(default_factory=dict)
     #: Number of path-structure variables created (paper's complexity metric).
@@ -114,19 +121,27 @@ class RoutingEncoder(abc.ABC):
         node_used: dict[int, Var],
         encoding: RoutingEncoding,
     ) -> None:
-        """Standard rows tying edges to uses and nodes to edges."""
+        """Standard rows tying edges to uses and nodes to edges.
+
+        A link whose variable is its one use needs no rows tying the two.
+        Each endpoint row is emitted once per (variable, node), because a
+        path binary stands for every single-use link of its path.
+        """
         incident: dict[int, list[Var]] = {}
+        placed: set[tuple[int, int]] = set()
         for (u, v), e_var in encoding.edge_active.items():
             uses = encoding.edge_uses.get((u, v), [])
-            for k, use in enumerate(uses):
-                model.add(e_var >= use, f"e[{u},{v}]:ge_use{k}")
-            if uses:
-                model.add(e_var <= lin_sum(uses), f"e[{u},{v}]:le_uses")
-            else:
+            if not uses:
                 model.add(e_var <= 0, f"e[{u},{v}]:unused")
+            elif len(uses) > 1 or uses[0] is not e_var:
+                for k, use in enumerate(uses):
+                    model.add(e_var >= use, f"e[{u},{v}]:ge_use{k}")
+                model.add(e_var <= lin_sum(uses), f"e[{u},{v}]:le_uses")
             # An active link needs both endpoints placed.
-            model.add(e_var <= node_used[u], f"e[{u},{v}]:tx_used")
-            model.add(e_var <= node_used[v], f"e[{u},{v}]:rx_used")
+            for node, role in ((u, "tx_used"), (v, "rx_used")):
+                if (e_var.index, node) not in placed:
+                    placed.add((e_var.index, node))
+                    model.add(e_var <= node_used[node], f"e[{u},{v}]:{role}")
             incident.setdefault(u, []).append(e_var)
             incident.setdefault(v, []).append(e_var)
         # Optional nodes count as used only when connected.

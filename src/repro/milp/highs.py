@@ -58,6 +58,26 @@ def normalized_gap(raw: object, status: SolveStatus) -> float:
     return 0.0 if status is SolveStatus.OPTIMAL else float("inf")
 
 
+def _integral_point(
+    form: StandardForm, raw_x: object, fun: float,
+) -> tuple[npt.NDArray[np.float64], float]:
+    """HiGHS's point with its integer columns rounded, and ``c @ x``.
+
+    HiGHS accepts integer columns within its own feasibility tolerance,
+    so an integral design can come back as 0.9999999 and its cost a few
+    ulps or more off.  The rounded point stands when it still satisfies
+    every row and bound; otherwise HiGHS's own point and ``fun`` do.
+    """
+    x = np.asarray(raw_x, dtype=float)
+    rounded = x.copy()
+    int_idx = np.flatnonzero(form.integrality == 1)
+    rounded[int_idx] = np.round(rounded[int_idx])
+    check = check_assignment(form, rounded)
+    if not check.ok:
+        return x, fun
+    return rounded, check.objective
+
+
 def normalized_node_count(raw: object) -> int:
     """Branch-and-bound node count as a non-negative int (0 if absent)."""
     try:
@@ -179,11 +199,12 @@ class HighsSolver:
                 SolveStatus.OPTIMAL if result.status == 0 else SolveStatus.FEASIBLE
             )
             raw_gap: Any = getattr(result, "mip_gap", None)
+            x, objective = _integral_point(form, result.x, float(result.fun))
             return Solution(
                 status=status,
-                # result.fun is c @ x; fold the objective's constant back in.
-                objective=float(result.fun) + model.objective.constant,
-                x=np.asarray(result.x, dtype=float),
+                # The objective is c @ x; fold its constant back in.
+                objective=objective + model.objective.constant,
+                x=x,
                 solve_time=elapsed,
                 mip_gap=normalized_gap(raw_gap, status),
                 node_count=normalized_node_count(

@@ -22,6 +22,9 @@ from repro.network import (
 from repro.network.paths import CandidatePath
 from repro.network.requirements import RouteRequirement
 from repro.network.topology import Architecture, Route
+from repro.scenarios import apply_edits, default_registry, parse_edit
+
+from .test_encoding_approximate import build_scenario
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +157,89 @@ class TestComputeWarmStart:
         assert compute_warm_start(
             built, dataclasses.replace(previous, routes=[])
         ) is None
+
+
+#: The two bases of the what-if benchmark workload.
+WHATIF_BASES = {
+    "multifloor": "multifloor:floors=6,k_star=24,relays_per_floor=16,"
+                  "rooms_x=5,sensors_per_floor=6:0",
+    "campus": "campus:buildings_x=3,buildings_y=3,k_star=24,"
+              "sensors_per_building=4,street_relays=100:0",
+}
+EDIT_KINDS = (
+    "add-wall", "remove-wall", "move-node", "swap-device", "set-replicas",
+    "set-min-snr",
+)
+
+
+def edit_of_kind(base, kind):
+    """One edit of ``kind`` that applies to either what-if base."""
+    relay = next(
+        n for n in base.template.nodes if n.role == "relay" and not n.fixed
+    )
+    return {
+        "add-wall": "add-wall:10,10,10,18,concrete",
+        "remove-wall": "remove-wall:3",
+        "move-node": f"move-node:{relay.id},{relay.location.x + 1.5:.1f},"
+                     f"{relay.location.y:.1f}",
+        "swap-device": "swap-device:relay-std=relay-lp",
+        "set-replicas": "set-replicas:0,2",
+        "set-min-snr": "set-min-snr:21",
+    }[kind]
+
+
+@pytest.fixture(scope="module", params=sorted(WHATIF_BASES))
+def whatif_base(request):
+    """A what-if base and its solved design."""
+    base = default_registry().generate(WHATIF_BASES[request.param])
+    result = base.explore()
+    assert result.feasible
+    return base, result.architecture
+
+
+class TestOneValuePerColumn:
+    """A single-use link's binary is its path's pick: the fixes meet it
+    twice and must give it one value."""
+
+    def test_conflicting_values_raise(self, built, previous):
+        fixes = _structure_fixes(built, previous)
+        block = next(
+            b for b in built.encoding.selection
+            if selection_from_architecture(b, previous) is not None
+        )
+        chosen = set(selection_from_architecture(block, previous))
+        unchosen = next(
+            var for k, var in enumerate(block.pick) if k not in chosen
+        )
+        assert fixes[unchosen.index] == 0.0
+        # Hand a link of a chosen path the unchosen pick's binary.
+        used = block.pool[min(chosen)].edges[0]
+        edge_active = dict(built.encoding.edge_active)
+        edge_active[used] = unchosen
+        wrong = dataclasses.replace(
+            built,
+            encoding=dataclasses.replace(
+                built.encoding, edge_active=edge_active
+            ),
+        )
+        with pytest.raises(RuntimeError, match="both"):
+            _structure_fixes(wrong, previous)
+
+    @pytest.mark.parametrize("kind", EDIT_KINDS)
+    def test_whatif_edits_fix_each_column_once(self, whatif_base, kind):
+        """Each edit kind on both what-if bases, fixed from the base's
+        design: no column gets two values, and the fixes meet shared
+        binaries (otherwise the case proves nothing)."""
+        base, design = whatif_base
+        edited, _ = apply_edits(base, (parse_edit(edit_of_kind(base, kind)),))
+        built = build_scenario(edited)
+        fixes = _structure_fixes(built, design)
+        assert fixes is not None
+        picks = {var.index for b in built.encoding.selection for var in b.pick}
+        shared = {
+            var.index for var in built.encoding.edge_active.values()
+        } & picks
+        assert shared & set(fixes)
 
 
 class TestBranchAndBoundWarmStart:

@@ -5,6 +5,8 @@ hypothesis-driven random-MILP generator — checked against each other:
 equal optimal objectives on every feasible instance.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,3 +247,40 @@ class TestWithTimeLimit:
         assert clone.time_limit == 2.0
         assert clone.node_limit == 100
         assert solver.time_limit == 60.0
+
+
+class TestIntegralPoint:
+    """HiGHS reports the objective of its integral point."""
+
+    @staticmethod
+    def stub_milp(monkeypatch, x, fun):
+        def milp(**_):
+            return SimpleNamespace(
+                x=np.array(x), fun=fun, status=0, message="stubbed",
+                mip_gap=0.0, mip_node_count=1,
+            )
+
+        monkeypatch.setattr("repro.milp.highs.milp", milp)
+
+    def test_near_integral_point_is_rounded(self, monkeypatch):
+        m = Model()
+        b = m.binary("b")
+        z = m.continuous("z", 0.0, 1.0)
+        m.add(b + z >= 1.25)
+        m.minimize(3 * b + z + 2.0)
+        raw = [0.9999999, 0.2500001]
+        self.stub_milp(monkeypatch, raw, 3 * raw[0] + raw[1])
+        sol = HighsSolver().solve(m)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.x.tolist() == [1.0, 0.2500001]
+        assert sol.objective == 3.0 + 0.2500001 + 2.0
+
+    def test_rounded_point_off_a_row_keeps_the_raw_point(self, monkeypatch):
+        m = Model()
+        b = m.binary("b")
+        m.add(1000 * b <= 999.9995)
+        m.minimize(-b)
+        self.stub_milp(monkeypatch, [0.9999995], -0.9999995)
+        sol = HighsSolver().solve(m)
+        assert sol.x.tolist() == [0.9999995]
+        assert sol.objective == -0.9999995

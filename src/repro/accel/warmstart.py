@@ -19,7 +19,6 @@ correctness.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -55,8 +54,6 @@ class WarmStart:
     x: npt.NDArray[np.float64]
     #: User-space objective value at ``x`` (constant folded in).
     objective: float
-    #: Seconds spent building it (route replay plus restricted solve).
-    seconds: float
 
 
 def selection_from_architecture(
@@ -157,7 +154,6 @@ def compute_warm_start(
     new rows at any sizing — yields ``None``: no warm start, never a
     wrong one.
     """
-    start = time.perf_counter()
     with span("accel.warm_start") as ws_span:
         fixes = _structure_fixes(built, architecture)
         if fixes is None:
@@ -192,13 +188,10 @@ def compute_warm_start(
         if not check.ok:
             ws_span.set_attribute("outcome", f"rejected: {check.reason}")
             return None
-        seconds = time.perf_counter() - start
         objective = check.objective + built.model.objective.constant
-        ws_span.set_attributes(
-            outcome="ok", objective=objective, seconds=round(seconds, 6),
-        )
+        ws_span.set_attributes(outcome="ok", objective=objective)
         counter("accel.warm_starts").inc()
-        return WarmStart(x=x, objective=objective, seconds=seconds)
+        return WarmStart(x=x, objective=objective)
 
 
 def attach_warm_start(model: Model, warm: WarmStart) -> None:

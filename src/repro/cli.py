@@ -15,9 +15,10 @@ components and a floor plan"; this CLI is that front door:
 * ``serve``      — run the HTTP job service (see docs/service.md).
 
 Every synthesis command accepts ``--stats-json`` to emit the runtime
-instrumentation (per-phase timings, cache hit/miss counters) as
-structured JSON, and ``kstar`` accepts ``--parallel`` to solve ladder
-rungs on the threads of the :mod:`repro.runtime` batch runner.
+instrumentation (encode/solve seconds, model size, cache hit/miss
+counters) as structured JSON, and ``kstar`` accepts ``--parallel`` to
+solve ladder rungs on the threads of the :mod:`repro.runtime` batch
+runner.
 
 ``synthesize``/``localize``/``kstar`` additionally accept ``--trace
 PATH`` (hierarchical span/event log as JSONL — see
@@ -129,8 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--json-out", type=Path,
                      help="persist the synthesized design as JSON")
     syn.add_argument("--stats-json", type=Path,
-                     help="write runtime instrumentation (phase timings, "
-                          "cache counters) as JSON; '-' for stdout")
+                     help="write runtime instrumentation (encode/solve "
+                          "seconds, cache counters) as JSON; '-' for "
+                          "stdout")
     syn.add_argument("--deadline", type=float, metavar="SECONDS",
                      help="overall wall-clock budget; solver attempts are "
                           "clipped to the remaining time")

@@ -30,7 +30,7 @@ from repro.milp.expr import LinExpr, Var, lin_sum
 from repro.milp.model import Model
 from repro.network.requirements import ReachabilityRequirement
 from repro.network.template import Template
-from repro.runtime.instrumentation import timings_of
+from repro.runtime.cache import anchor_rankings
 
 
 @dataclass
@@ -118,20 +118,12 @@ def build_localization(
             f"(nodes with role {requirement.anchor_role!r})"
         )
 
-    timings = timings_of(stats)
-    with timings.phase("pathloss"):
-        if cache is not None:
-            rankings = cache.reach_rankings(
-                channel, anchors, requirement.test_points, stats=stats
-            )
-        else:
-            rankings = [
-                sorted(
-                    (channel.path_loss_db(a.location, point), a.id)
-                    for a in anchors
-                )
-                for point in requirement.test_points
-            ]
+    if cache is not None:
+        rankings = cache.reach_rankings(
+            channel, anchors, requirement.test_points, stats=stats
+        )
+    else:
+        rankings = anchor_rankings(channel, anchors, requirement.test_points)
 
     by_id = {a.id: a for a in anchors}
     loc = LocalizationVars(

@@ -1,10 +1,10 @@
 """The architecture explorers — the toolbox's problem-assembly layer.
 
 :class:`ExplorerBase` owns the single build → solve → decode pipeline
-every exploration runs through, including runtime instrumentation
-(per-phase timings, cache counters) and the optional
-:class:`~repro.runtime.cache.EncodeCache` that lets sweeps reuse encode
-work across trials.
+every exploration runs through, including its ``explorer.build``,
+``analysis`` and ``explorer.solve`` trace spans, the per-trial cache
+counters and the optional :class:`~repro.runtime.cache.EncodeCache` that
+lets sweeps reuse encode work across trials.
 
 :class:`DataCollectionExplorer` assembles a data-collection exploration
 problem (template + library + requirements) into one MILP — sizing,
@@ -44,7 +44,7 @@ from repro.network.requirements import ReachabilityRequirement, RequirementSet
 from repro.network.template import Template
 from repro.network.topology import Architecture
 from repro.runtime.cache import EncodeCache
-from repro.runtime.instrumentation import RunStats, timings_of
+from repro.runtime.instrumentation import RunStats
 from repro.telemetry.trace import drain_drop_warnings, span
 
 
@@ -196,10 +196,9 @@ class ExplorerBase(abc.ABC):
         with span(
             "explorer.build", explorer=type(self).__name__
         ) as build_span:
-            timings = timings_of(stats)
             report = AnalysisReport()
             if self.analyze:
-                with timings.phase("analyze"):
+                with span("analysis", level="spec"):
                     report.merge(analyze_problem(
                         self.template, self._analysis_requirements(),
                         self.library,
@@ -209,7 +208,7 @@ class ExplorerBase(abc.ABC):
                 )
             built = self._assemble(objective, stats=stats)
             if self.analyze:
-                with timings.phase("analyze"):
+                with span("analysis", level="model"):
                     report.merge(analyze_model(built.model))
                 report.raise_for_errors(
                     f"{type(self).__name__} model analysis"
@@ -274,16 +273,9 @@ class ExplorerBase(abc.ABC):
             t0 = time.perf_counter()
             built = self.build(objective, stats=stats)
             encode_seconds = time.perf_counter() - t0
-            # Keep the phase breakdown disjoint: "encode" excludes the
-            # analyzer time already booked under "analyze".
-            stats.timings.add(
-                "encode",
-                max(0.0, encode_seconds - stats.timings.get("analyze")),
-            )
             if mutate is not None:
                 mutate(built)
             solution = self._solve_built(built)
-            stats.timings.add("solve", solution.solve_time)
             architecture, terms = self._decode(solution, built)
             diagnostics = []
             if built.analysis is not None:

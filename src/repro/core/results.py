@@ -27,7 +27,7 @@ class SynthesisResult:
     objective_terms: dict[str, float] = field(default_factory=dict)
     #: Post-hoc metrics filled by the validator (lifetime, reachability...).
     metrics: dict[str, float] = field(default_factory=dict)
-    #: Runtime instrumentation: per-phase timings plus cache counters.
+    #: Runtime instrumentation: the trial's encode-cache counters.
     run_stats: RunStats | None = None
     #: Pre-solve analyzer findings (errors and warnings) that rode along;
     #: on infeasible runs these usually explain *why* (see CLI output).
@@ -87,9 +87,9 @@ class SynthesisResult:
     def stats_dict(self) -> dict:
         """Structured (JSON-ready) statistics for this run.
 
-        Combines the model-size statistics of the paper's tables with the
-        runtime's per-phase timings and cache counters; this is what the
-        CLI emits under ``--stats-json``.
+        Combines the model-size statistics and the encode/solve seconds
+        of the paper's tables with the runtime's cache counters; this is
+        what the CLI emits under ``--stats-json``.
         """
         payload: dict = {
             "status": self.status.value,
@@ -124,7 +124,7 @@ class SynthesisResult:
         return payload
 
     def to_dict(self) -> dict:
-        """The versioned result envelope: the ``--stats-json`` v2 payload
+        """The versioned result envelope: the ``--stats-json`` payload
         under an explicit ``schema_version`` and result ``kind``.
 
         This is the *one* serialization of a synthesis outcome — the CLI

@@ -39,7 +39,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.disjoint import max_disjoint_subset, minimally_disjoint_path
 from repro.graph.kernels import csr_k_shortest_paths
 from repro.runtime.cache import build_weighted_graph
-from repro.runtime.instrumentation import timings_of
 from repro.milp.expr import Var, lin_sum
 from repro.milp.model import Model
 from repro.milp.solution import Solution
@@ -248,17 +247,14 @@ class ApproximatePathEncoder(RoutingEncoder):
         private copy of the graph, so concurrent trials can mask edges
         (Algorithm 1's disconnection rounds) without interfering.
         """
-        timings = timings_of(stats)
-        with timings.phase("pathloss"):
-            graph, graph_key = self._working_graph(template, cache, stats)
+        graph, graph_key = self._working_graph(template, cache, stats)
 
         def yen(g: DiGraph, source, target, k: int):
-            with timings.phase("yen"):
-                if graph_key is not None:
-                    return cache.yen_paths(
-                        graph_key, g, source, target, k, stats=stats
-                    )
-                return csr_k_shortest_paths(g, source, target, k)
+            if graph_key is not None:
+                return cache.yen_paths(
+                    graph_key, g, source, target, k, stats=stats
+                )
+            return csr_k_shortest_paths(g, source, target, k)
 
         fixed = {node.id for node in template.nodes if node.fixed}
         blocks: list[SelectionBlock] = []

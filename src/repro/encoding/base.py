@@ -95,8 +95,9 @@ class RoutingEncoder(abc.ABC):
 
     ``encode`` accepts an optional :class:`~repro.runtime.cache.EncodeCache`
     (to reuse path-loss graphs and Yen candidate pools across trials) and
-    an optional :class:`~repro.runtime.instrumentation.RunStats` sink for
-    per-phase timings; encoders that do no cacheable work may ignore both.
+    an optional :class:`~repro.runtime.instrumentation.RunStats` that
+    attributes the cache lookups to one trial; encoders that do no
+    cacheable work may ignore both.
     """
 
     name: str = "abstract"

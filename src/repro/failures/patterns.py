@@ -110,6 +110,14 @@ class FailurePattern:
         }
 
 
+#: Spec-grammar terms taking a count, and the :class:`FailuresSpec`
+#: field each sets.
+_COUNT_TERMS = {
+    "k-link": "k_link", "k-node": "k_node", "seed": "seed",
+    "max": "max_patterns", "rounds": "rounds", "worst": "worst",
+}
+
+
 @dataclass(frozen=True)
 class FailuresSpec:
     """Parsed ``SolveOptions(failures=...)`` spec string.
@@ -124,6 +132,9 @@ class FailuresSpec:
         "max:200"             cap per combinatorial family (default 512)
         "rounds:5"            robust re-solve round cap (default 4)
         "worst:3"             violated patterns cut per round (default 3)
+
+    Counts must be at least 1 (``seed`` at least 0); construction raises
+    :class:`ValueError` otherwise, parsed or not.
     """
 
     k_link: int | None = None
@@ -134,6 +145,16 @@ class FailuresSpec:
     max_patterns: int = DEFAULT_MAX_PATTERNS
     rounds: int = 4
     worst: int = 3
+
+    def __post_init__(self) -> None:
+        for term, name in _COUNT_TERMS.items():
+            value = getattr(self, name)
+            least = 0 if name == "seed" else 1
+            if value is not None and value < least:
+                raise ValueError(
+                    f"failures term '{term}:{value}' must be at least "
+                    f"{least}"
+                )
 
     def needs_floorplan(self) -> bool:
         """Whether any requested family is geometric."""
@@ -164,8 +185,8 @@ class FailuresSpec:
 def parse_failures_spec(text: str) -> FailuresSpec:
     """Parse the ``failures=`` spec grammar (see :class:`FailuresSpec`).
 
-    Raises :class:`ValueError` on unknown terms, malformed counts, or a
-    spec that names no pattern family at all.
+    Raises :class:`ValueError` on unknown terms, malformed or
+    out-of-range counts, or a spec that names no pattern family at all.
     """
     values: dict[str, object] = {}
     for raw in text.split(","):
@@ -181,11 +202,7 @@ def parse_failures_spec(text: str) -> FailuresSpec:
                 )
             values[name] = True
             continue
-        keys = {
-            "k-link": "k_link", "k-node": "k_node", "seed": "seed",
-            "max": "max_patterns", "rounds": "rounds", "worst": "worst",
-        }
-        if name not in keys:
+        if name not in _COUNT_TERMS:
             raise ValueError(
                 f"unknown failures term {term!r}; expected k-link:K, "
                 f"k-node:K, walls, regions, seed:N, max:N, rounds:N "
@@ -197,9 +214,7 @@ def parse_failures_spec(text: str) -> FailuresSpec:
             raise ValueError(
                 f"failures term {term!r} needs an integer argument"
             ) from None
-        if count < (0 if name == "seed" else 1):
-            raise ValueError(f"failures term {term!r} must be positive")
-        values[keys[name]] = count
+        values[_COUNT_TERMS[name]] = count
     spec = FailuresSpec(**values)  # type: ignore[arg-type]
     if (
         spec.k_link is None and spec.k_node is None

@@ -176,10 +176,6 @@ def robust_solve(
         t0 = time.perf_counter()
         built = explorer.build(objective, stats=stats)
         encode_seconds = time.perf_counter() - t0
-        stats.timings.add(
-            "encode",
-            max(0.0, encode_seconds - stats.timings.get("analyze")),
-        )
         if mutate is not None:
             mutate(built)
 
@@ -197,7 +193,6 @@ def robust_solve(
             counter("failures.robust_rounds").inc()
             round_solution = explorer._solve_built(built)
             solve_seconds += round_solution.solve_time
-            stats.timings.add("solve", round_solution.solve_time)
             if (
                 round_solution.status is SolveStatus.INFEASIBLE
                 and solution is not None
@@ -234,7 +229,6 @@ def robust_solve(
             )
             report.rounds = round_no
             report.uncoverable = sorted(uncoverable)
-            stats.timings.add("verify", report.total_seconds)
             if report.survived_all:
                 break
             last_cut = []

@@ -223,7 +223,7 @@ def restored_result(record: dict) -> RestoredResult:
 
     This is the *one* decode codec for recorded solves: it accepts both
     the compact checkpoint layout (``status``/``objective``/``seconds``/
-    ``terms``) and the ``--stats-json`` v2 envelope that
+    ``terms``) and the ``--stats-json`` envelope that
     :meth:`repro.core.results.SynthesisResult.to_dict` emits
     (``encode_seconds``+``solve_seconds``, ``objective_terms``) — so
     checkpoint replay, CLI JSON and the server wire format all restore

@@ -5,8 +5,8 @@ toolbox: :class:`BatchRunner` fans independent explorer trials out over
 one thread pool (with retry-on-crash and deterministic result ordering),
 :class:`EncodeCache` memoizes the encode-phase artifacts that sweeps
 recompute otherwise (path-loss weighted graphs, Yen candidate pools,
-anchor rankings), and :class:`RunStats` carries per-phase timings and
-cache counters into every :class:`~repro.core.results.SynthesisResult`.
+anchor rankings), and :class:`RunStats` carries a trial's cache
+counters into every :class:`~repro.core.results.SynthesisResult`.
 """
 
 from repro.runtime.batch import BatchRunner, Trial, TrialOutcome
@@ -16,25 +16,16 @@ from repro.runtime.cache import (
     channel_key,
     digest,
 )
-from repro.runtime.instrumentation import (
-    PHASES,
-    CacheCounters,
-    PhaseTimings,
-    RunStats,
-    timings_of,
-)
+from repro.runtime.instrumentation import CacheCounters, RunStats
 
 __all__ = [
-    "PHASES",
     "BatchRunner",
     "CacheCounters",
     "EncodeCache",
-    "PhaseTimings",
     "RunStats",
     "Trial",
     "TrialOutcome",
     "build_weighted_graph",
     "channel_key",
     "digest",
-    "timings_of",
 ]

@@ -320,17 +320,10 @@ class EncodeCache:
         """
         points = tuple(test_points)
         key = self.reach_key(channel, anchors, points)
-
-        def compute() -> list[list[tuple[float, int]]]:
-            return [
-                sorted(
-                    (channel.path_loss_db(a.location, point), a.id)
-                    for a in anchors
-                )
-                for point in points
-            ]
-
-        return self.get_or_compute(REGION_PATHLOSS, key, compute, stats)
+        return self.get_or_compute(
+            REGION_PATHLOSS, key,
+            lambda: anchor_rankings(channel, anchors, points), stats,
+        )
 
 
 _MISSING = object()
@@ -343,3 +336,17 @@ def build_weighted_graph(template) -> DiGraph:
         graph.add_node(node.id)
     graph.add_edges(template.edges())
     return graph
+
+
+def anchor_rankings(
+    channel, anchors: Sequence, points: Iterable,
+) -> list[list[tuple[float, int]]]:
+    """Per test point, every ``(path_loss_db, anchor_id)`` pair, sorted.
+
+    Scalar ``path_loss_db`` on purpose: the vectorized matrix may differ
+    in the last bit and reorder anchors of equal loss at a K* cut.
+    """
+    return [
+        sorted((channel.path_loss_db(a.location, point), a.id) for a in anchors)
+        for point in points
+    ]

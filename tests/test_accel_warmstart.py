@@ -374,6 +374,6 @@ class TestExplorerIntegration:
         assert result.solution.extra["warm_start"]["status"] == "accepted"
 
     def test_warm_dataclass_is_frozen(self):
-        warm = WarmStart(x=np.zeros(1), objective=0.0, seconds=0.0)
+        warm = WarmStart(x=np.zeros(1), objective=0.0)
         with pytest.raises(AttributeError):
             warm.objective = 1.0

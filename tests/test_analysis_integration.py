@@ -2,7 +2,8 @@
 
 The contract under test: a doomed spec is refused by ``build()`` before
 any solver call; warnings ride along on the result; ``analyze=False``
-bypasses the gate; analyzer time shows up in the phase timings.
+bypasses the gate; analyzer time shows up in the trace as ``analysis``
+spans.
 """
 
 import pytest
@@ -15,6 +16,8 @@ from repro.network.requirements import (
     LinkQualityRequirement,
     RequirementSet,
 )
+from repro.telemetry.sinks import CollectorSink
+from repro.telemetry.trace import configure
 
 
 class SpySolver:
@@ -120,28 +123,37 @@ class TestDiagnosticsOnResults:
         assert built.analysis.ok
 
 
-class TestPhaseTimings:
-    def test_analyze_phase_is_recorded_and_disjoint(self, grid_instance,
-                                                    grid_requirements,
-                                                    library):
-        explorer = DataCollectionExplorer(
-            grid_instance.template, library, grid_requirements
-        )
+class TestAnalysisSpan:
+    @staticmethod
+    def traced_solve(explorer):
+        """The result of a traced ``solve`` and the spans it emitted."""
+        sink = CollectorSink()
+        configure([sink])
         result = explorer.solve("cost")
-        phases = result.run_stats.timings.seconds
-        assert phases.get("analyze", 0.0) > 0.0
-        assert phases.get("encode", 0.0) >= 0.0
-        # encode excludes analyze: their sum stays within total build time
-        assert (phases["analyze"] + phases["encode"]
-                <= result.encode_seconds + 1e-6)
+        return result, [r for r in sink.records if r["type"] == "span"]
 
-    def test_analyze_false_records_no_analyze_phase(self, grid_instance,
+    def test_each_analyzer_call_is_a_child_of_build(self, grid_instance,
                                                     grid_requirements,
                                                     library):
-        explorer = DataCollectionExplorer(
+        _, spans = self.traced_solve(DataCollectionExplorer(
+            grid_instance.template, library, grid_requirements
+        ))
+        (build,) = [s for s in spans if s["name"] == "explorer.build"]
+        analysis = [s for s in spans if s["name"] == "analysis"]
+        assert [s["attrs"]["level"] for s in analysis] == ["spec", "model"]
+        for s in analysis:
+            assert s["parent"] == build["span"]
+            assert s["status"] == "ok"
+        assert sum(s["duration_s"] for s in analysis) <= build["duration_s"]
+
+    def test_analyze_false_emits_no_analysis_span(self, grid_instance,
+                                                  grid_requirements,
+                                                  library):
+        result, spans = self.traced_solve(DataCollectionExplorer(
             grid_instance.template, library, grid_requirements,
             analyze=False,
-        )
-        result = explorer.solve("cost")
-        assert "analyze" not in result.run_stats.timings.seconds
+        ))
+        names = {s["name"] for s in spans}
+        assert "explorer.build" in names
+        assert "analysis" not in names
         assert result.diagnostics == []

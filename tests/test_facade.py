@@ -81,7 +81,7 @@ class TestExplore:
         )
         assert result.feasible
         assert result.run_stats is not None
-        assert result.stats_dict()["phase_seconds"]["encode"] >= 0
+        assert result.stats_dict()["encode_seconds"] > 0
 
     def test_localization_end_to_end(self, loc_problem):
         instance, requirement = loc_problem

@@ -214,6 +214,16 @@ class TestSpecGrammar:
         with pytest.raises(ValueError):
             parse_failures_spec(bad)
 
+    @pytest.mark.parametrize("count", [
+        {"rounds": 0}, {"worst": 0}, {"max_patterns": 0},
+        {"k_node": 0}, {"seed": -1},
+    ], ids=["rounds", "worst", "max", "k-node", "seed"])
+    def test_spec_built_in_python_checks_its_counts(self, count):
+        """The parser's count rules hold for a spec built directly, as
+        ``SolveOptions(failures=FailuresSpec(...))`` takes one."""
+        with pytest.raises(ValueError, match="must be at least"):
+            FailuresSpec(k_link=1, **count)
+
     def test_generate_patterns_deduplicates(self):
         patterns = generate_patterns("k-link:1,k-node:1", GRID.template)
         ids = [p.pattern_id for p in patterns]

@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,6 @@ from repro.network import localization_template, small_grid_template
 from repro.network.template import NetworkNode, Template
 from repro.runtime import (
     BatchRunner,
-    CacheCounters,
     EncodeCache,
     RunStats,
     Trial,
@@ -207,41 +207,6 @@ class TestReachRankings:
         assert cache.counters.hit_count("pathloss") == 1
 
 
-class TestCacheCounters:
-    def test_merge_folds_per_region_counts(self):
-        a = CacheCounters()
-        a.record("yen", True)
-        a.record("yen", False)
-        a.record("pathloss", True)
-        b = CacheCounters()
-        b.record("yen", True)
-        b.record("reach", False)
-        a.merge(b)
-        assert a.hit_count("yen") == 2
-        assert a.miss_count("yen") == 1
-        assert a.hit_count("pathloss") == 1
-        assert a.miss_count("reach") == 1
-        assert a.hit_count() == 3 and a.miss_count() == 2
-
-    def test_merge_into_empty_equals_source(self):
-        source = CacheCounters()
-        source.record("yen", True)
-        source.record("pathloss", False)
-        target = CacheCounters()
-        target.merge(source)
-        assert target.to_dict() == source.to_dict()
-        # The merge copies counts, not dict references.
-        target.record("yen", True)
-        assert source.hit_count("yen") == 1
-
-    def test_merge_empty_is_identity(self):
-        counters = CacheCounters()
-        counters.record("yen", False)
-        before = counters.to_dict()
-        counters.merge(CacheCounters())
-        assert counters.to_dict() == before
-
-
 class TestPerTrialAttribution:
     """Concurrent trials sharing one cache: per-trial stats must add up
     exactly to the shared counters — no lookup lost, none double-counted."""
@@ -273,10 +238,13 @@ class TestPerTrialAttribution:
         assert cache.counters.miss_count("yen") == len(keys)
         assert cache.counters.hit_count("yen") == total - len(keys)
 
-        merged = CacheCounters()
+        summed: dict[str, Counter] = {}
         for stats in per_trial:
-            merged.merge(stats.cache)
-        assert merged.to_dict() == cache.counters.to_dict()
+            for table, counts in stats.cache.to_dict().items():
+                summed.setdefault(table, Counter()).update(counts)
+        assert {
+            table: dict(counts) for table, counts in summed.items()
+        } == cache.counters.to_dict()
         assert sum(
             s.cache.hit_count("yen") + s.cache.miss_count("yen")
             for s in per_trial
@@ -389,15 +357,3 @@ class TestSeedAndPeek:
         }
         assert lookups == {"miss": 1, "hit": 1}
         assert metrics.counter("cache.partial_reuse", region="yen").value == 1
-
-    def test_counters_merge_includes_partial_reuse(self):
-        a = CacheCounters()
-        a.record_partial("yen")
-        b = CacheCounters()
-        b.record_partial("yen")
-        b.record_partial("pathloss")
-        a.merge(b)
-        assert a.partial_count("yen") == 2
-        assert a.partial_count("pathloss") == 1
-        assert a.partial_count() == 3
-        assert a.to_dict()["partial_reuse"] == {"yen": 2, "pathloss": 1}

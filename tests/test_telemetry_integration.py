@@ -137,11 +137,20 @@ class TestCliTelemetryFlags:
 
         records, errors = validate_file(trace)
         assert errors == []
-        names = {r["name"] for r in records if r["type"] == "span"}
-        assert {"kstar.search", "kstar.rung", "explorer.build"} <= names
+        spans = [r for r in records if r["type"] == "span"]
+        names = {s["name"] for s in spans}
+        assert {
+            "kstar.search", "kstar.rung", "explorer.build", "analysis",
+        } <= names
+        builds = {s["span"] for s in spans if s["name"] == "explorer.build"}
+        assert all(
+            s["parent"] in builds for s in spans if s["name"] == "analysis"
+        )
 
-        payload = json.loads(stats.read_text())
-        assert payload["schema_version"] == 2
+        text = stats.read_text()
+        payload = json.loads(text)
+        assert payload["schema_version"] == 3
+        assert "phase" not in text  # v3 carries no per-phase timings
 
         text = metrics.read_text()
         assert "# TYPE" in text

@@ -67,7 +67,7 @@ class TestHistogram:
         assert snap["sum"] == pytest.approx(55.65)
 
     def test_default_buckets(self, registry):
-        h = registry.histogram("phase.seconds", phase="solve")
+        h = registry.histogram("kstar.rung_seconds")
         assert h.buckets == tuple(sorted(DEFAULT_BUCKETS))
 
     def test_buckets_fixed_after_creation(self, registry):
